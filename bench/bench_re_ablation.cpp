@@ -12,6 +12,7 @@
 #include "core/problems.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
+#include "reference/reduce_reference.hpp"
 
 namespace lcl {
 namespace {
@@ -144,12 +145,15 @@ NodeEdgeCheckableLcl wide_probe_wall(int labels) {
   return b.build();
 }
 
+using ReduceFn = Reduction (*)(NodeEdgeCheckableLcl, ReKernel);
+
 void run_reduce_slice(benchmark::State& state,
-                      const NodeEdgeCheckableLcl& problem, ReKernel kernel) {
+                      const NodeEdgeCheckableLcl& problem, ReKernel kernel,
+                      ReduceFn reduce_fn = &reduce) {
   std::size_t labels_out = 0, configs_out = 0;
   const bench::ObsCounters obs_counters;
   for (auto _ : state) {
-    auto red = reduce(problem, kernel);
+    auto red = reduce_fn(problem, kernel);
     labels_out = red.problem.output_alphabet().size();
     configs_out = red.problem.total_node_configs() +
                   red.problem.edge_configs().size();
@@ -170,6 +174,30 @@ void BM_ReduceSlice_Wide96_Auto(benchmark::State& state) {
   run_reduce_slice(state, wide_probe_wall(96), ReKernel::kAuto);
 }
 BENCHMARK(BM_ReduceSlice_Wide96_Auto)->Unit(benchmark::kMillisecond);
+
+// Reduce slice on a real survey iterate: the 511-label apply_r output at
+// step 2 of the Delta=2 l=3 member d2l3-n13-e34 (128,631 node
+// configurations), the input on which the cold survey's reduce() time
+// concentrated. `_Reference` runs the original passes (tests/reference),
+// whose merge pass rescanned every configuration for every label; the
+// production merge builds all signatures in one pass. Both reduce to the
+// same 14 labels; CI gates the ratio with `bench_diff --min-speedup`.
+const NodeEdgeCheckableLcl& blowup_iterate() {
+  static const NodeEdgeCheckableLcl iterate = reference::d2l3_blowup_iterate();
+  return iterate;
+}
+
+void BM_ReduceSlice_D2L3_Blowup(benchmark::State& state) {
+  run_reduce_slice(state, blowup_iterate(), ReKernel::kAuto);
+}
+BENCHMARK(BM_ReduceSlice_D2L3_Blowup)->Unit(benchmark::kMillisecond);
+
+void BM_ReduceSlice_D2L3_Blowup_Reference(benchmark::State& state) {
+  run_reduce_slice(state, blowup_iterate(), ReKernel::kAuto,
+                   &reference::reduce);
+}
+BENCHMARK(BM_ReduceSlice_D2L3_Blowup_Reference)
+    ->Unit(benchmark::kMillisecond);
 
 #define ABLATION_BENCH(name, expr)                              \
   void BM_Ablation_##name##_Reduced(benchmark::State& state) {  \

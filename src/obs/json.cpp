@@ -76,9 +76,18 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         return parse_string_value(out);
       case 't':
@@ -231,6 +240,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -72,8 +73,14 @@ class Value {
   std::map<std::string, Value> object_;
 };
 
+/// Deepest array/object nesting `parse` accepts. The parser recurses once per
+/// level, so an unbounded depth would let a small hostile document (an HTTP
+/// body, a spec file, a cache line) overflow the stack.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses one JSON document. On failure returns nullptr and, when `error`
-/// is non-null, describes what went wrong (with a byte offset).
+/// is non-null, describes what went wrong (with a byte offset). Documents
+/// nested deeper than `kMaxDepth` are rejected as parse errors.
 std::unique_ptr<Value> parse(std::string_view text, std::string* error);
 
 /// Serializes `s` as a quoted JSON string (escapes quotes, backslashes,

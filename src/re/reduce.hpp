@@ -21,7 +21,7 @@ struct Reduction {
 /// Simplifies a node-edge-checkable problem without changing its set of
 /// correct solutions up to relabeling - in particular, preserving
 /// solvability on every instance, round complexity, and 0-round
-/// solvability. Two passes, iterated to a fixed point:
+/// solvability. Three passes, iterated to a fixed point:
 ///
 ///  1. *Trim*: drop output labels that appear in no node configuration, or
 ///     have no edge partner, or are permitted by no input label. Such
@@ -33,19 +33,33 @@ struct Reduction {
 ///     label from each configuration containing it). Replacing one such
 ///     label by the other maps correct solutions to correct solutions in
 ///     both directions, so the quotient problem is equivalent.
+///  3. *Dominate*: drop one label `a` dominated by another label `b`
+///     (partners(a) and the `g`-preimage of `a` are subsets of those of `b`,
+///     and replacing one occurrence of `a` by `b` keeps every node
+///     configuration allowed). Replacing every `a` by `b` maps correct
+///     solutions to correct solutions, so dropping `a` preserves
+///     solvability and 0-round solvability. Each call drops the first
+///     dominated label in scan order; ties keep the smaller label.
+///
+/// Each pass runs under its own trace span (`re/reduce/trim`,
+/// `re/reduce/merge`, `re/reduce/dominate`) nested in `re/reduce`.
 ///
 /// The paper's operators deliberately skip such simplifications (note after
 /// Definition 3.1); `reduce` is the practical counterpart that keeps the
 /// faithful sequence computable for a few extra steps. The ablation bench
 /// `bench_re_ablation` quantifies the difference.
 ///
-/// `kernel` selects the implementation of the quadratic dominated-label
-/// pass (the reduction's hot spot on post-operator iterates, whose
-/// alphabets routinely exceed 64 labels): any mask kernel resolves to the
+/// `kernel` selects the implementation of the dominated-label pass, whose
+/// pair scan is quadratic in the alphabet (post-operator iterates routinely
+/// exceed 64 labels): any mask kernel resolves to the
 /// narrowest `LabelMaskW` tier covering the alphabet, `kGeneric` keeps the
 /// original ordered-set scan. Every choice drops the same labels in the
 /// same order - `test_re_kernel_parity`'s boundary battery fences that.
-Reduction reduce(const NodeEdgeCheckableLcl& problem,
+///
+/// `problem` is taken by value so callers that are done with it (such as
+/// `reduce_step`) move it in instead of paying for a copy of an iterate
+/// that can hold 10^5 configurations.
+Reduction reduce(NodeEdgeCheckableLcl problem,
                  ReKernel kernel = ReKernel::kAuto);
 
 /// Composes an operator step with a label reduction: the reduced problem's

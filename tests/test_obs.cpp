@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 #include "obs/json.hpp"
 #include "obs/trace_reader.hpp"
 #include "re/engine.hpp"
+#include "re/operators.hpp"
+#include "re/reduce.hpp"
 #include "volume/model.hpp"
 
 namespace lcl {
@@ -168,6 +171,33 @@ TEST(MetricsRegistry, ToJsonParses) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->find("count")->as_int(), 1);
   EXPECT_EQ(h->find("sum")->as_int(), 9);
+}
+
+TEST(Json, RejectsNestingPastTheDepthCap) {
+  const std::size_t cap = obs::json::kMaxDepth;
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  std::string error;
+  EXPECT_NE(obs::json::parse(nested(cap, '[', ']'), &error), nullptr)
+      << error;
+  EXPECT_EQ(obs::json::parse(nested(cap + 1, '[', ']'), &error), nullptr);
+  EXPECT_NE(error.find("nesting deeper than 256"), std::string::npos)
+      << error;
+
+  // 100k levels used to recurse once per level and overflow the stack; the
+  // cap turns the document into an ordinary parse error.
+  error.clear();
+  EXPECT_EQ(obs::json::parse(nested(100000, '[', ']'), &error), nullptr);
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+
+  // Objects count toward the same depth.
+  std::string objects;
+  for (std::size_t i = 0; i <= cap; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(cap + 1, '}');
+  error.clear();
+  EXPECT_EQ(obs::json::parse(objects, &error), nullptr);
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
 }
 
 #if LCL_OBS
@@ -354,6 +384,59 @@ TEST(EngineObs, EmitsSpansUnderActiveSession) {
   const auto summary = obs::summarize(trace);
   EXPECT_GT(summary.wall_us, 0);
   EXPECT_GT(summary.top_level_us, 0);
+}
+
+/// reduce() runs each fixed-point round as three sub-pass spans, all nested
+/// inside the re/reduce span of the call, so a trace splits the reduction's
+/// time between trim, merge and dominate.
+TEST(ReduceObs, SubPassSpansNestUnderReduce) {
+  const std::string path = testing::TempDir() + "lcl_obs_reduce.jsonl";
+  const ReStep psi = apply_r(problems::coloring(3, 2), ReLimits{});
+  {
+    MetricsOn on;
+    obs::TraceSession session(path, obs::TraceFormat::kJsonl);
+    obs::TraceSession* previous = obs::TraceSession::set_current(&session);
+    const Reduction red = reduce(psi.problem);
+    EXPECT_LT(red.problem.output_alphabet().size(),
+              psi.problem.output_alphabet().size());
+    obs::TraceSession::set_current(previous);
+    session.close();
+  }
+
+  obs::ParsedTrace trace;
+  std::string error;
+  ASSERT_TRUE(obs::parse_trace(read_file(path), &trace, &error)) << error;
+  std::vector<obs::TraceRecord> reduces;
+  std::vector<obs::TraceRecord> sub_passes;
+  for (const auto& r : trace.records) {
+    if (r.kind != obs::TraceRecord::Kind::kSpan) continue;
+    if (r.name == "re/reduce") reduces.push_back(r);
+    if (r.name.rfind("re/reduce/", 0) == 0) sub_passes.push_back(r);
+  }
+  ASSERT_EQ(reduces.size(), 1u);
+  const auto& outer = reduces.front();
+  std::map<std::string, int> counts;
+  for (const auto& sub : sub_passes) {
+    ++counts[sub.name];
+    EXPECT_GE(sub.ts_us, outer.ts_us) << sub.name;
+    EXPECT_LE(sub.ts_us + sub.dur_us, outer.ts_us + outer.dur_us) << sub.name;
+  }
+  EXPECT_EQ(counts.size(), 3u);
+  EXPECT_GE(counts["re/reduce/trim"], 1);
+  // Every fixed-point round runs all three passes once.
+  EXPECT_EQ(counts["re/reduce/merge"], counts["re/reduce/trim"]);
+  EXPECT_EQ(counts["re/reduce/dominate"], counts["re/reduce/trim"]);
+
+  // trace_summary charges the sub-passes to their own rows, leaving
+  // re/reduce only the time outside them.
+  const auto summary = obs::summarize(trace);
+  std::int64_t sub_total = 0;
+  std::int64_t reduce_self = -1;
+  for (const auto& phase : summary.phases) {
+    if (phase.name.rfind("re/reduce/", 0) == 0) sub_total += phase.total_us;
+    if (phase.name == "re/reduce") reduce_self = phase.self_us;
+  }
+  EXPECT_EQ(reduce_self, outer.dur_us - sub_total);
 }
 #endif  // LCL_OBS
 

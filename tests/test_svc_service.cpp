@@ -386,17 +386,21 @@ TEST(SvcService, ConcurrentClassifiesWithMetricsScrapesDoNotStall) {
 
 #ifdef LCL_LCLD_PATH
 
-/// Spawns the real daemon on an ephemeral port, talks to it over real
-/// HTTP, and SIGTERMs it: the full deployment contract in one test.
-TEST(SvcDaemonE2E, ClassifyTwiceCanonicalHitThenGracefulDrain) {
-  const std::string dir = testing::TempDir() + "lcld_e2e";
+/// A real lcld on an ephemeral port, spawned with its cache under
+/// `dir`; `port` stays 0 when the daemon never published one.
+struct SpawnedDaemon {
+  pid_t pid = -1;
+  std::uint16_t port = 0;
+};
+
+SpawnedDaemon spawn_lcld(const std::string& dir) {
   const std::string port_file = dir + "/port.txt";
   std::filesystem::create_directories(dir);
   std::filesystem::remove(port_file);
 
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
+  SpawnedDaemon daemon;
+  daemon.pid = fork();
+  if (daemon.pid == 0) {
     const std::string port_arg = "--port-file=" + port_file;
     const std::string cache_arg = "--cache-dir=" + dir;
     execl(LCL_LCLD_PATH, "lcld", "--port=0", port_arg.c_str(),
@@ -405,14 +409,32 @@ TEST(SvcDaemonE2E, ClassifyTwiceCanonicalHitThenGracefulDrain) {
   }
 
   // Wait for the daemon to publish its bound port.
-  std::uint16_t port = 0;
-  for (int i = 0; i < 200 && port == 0; ++i) {
+  for (int i = 0; i < 200 && daemon.pid > 0 && daemon.port == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     std::ifstream in(port_file);
     unsigned value = 0;
-    if (in >> value && value != 0) port = static_cast<std::uint16_t>(value);
+    if (in >> value && value != 0) {
+      daemon.port = static_cast<std::uint16_t>(value);
+    }
   }
-  ASSERT_NE(port, 0) << "daemon never wrote " << port_file;
+  return daemon;
+}
+
+/// SIGTERMs the daemon and returns its wait status.
+int stop_lcld(const SpawnedDaemon& daemon) {
+  int status = 0;
+  EXPECT_EQ(kill(daemon.pid, SIGTERM), 0);
+  EXPECT_EQ(waitpid(daemon.pid, &status, 0), daemon.pid);
+  return status;
+}
+
+/// Spawns the real daemon on an ephemeral port, talks to it over real
+/// HTTP, and SIGTERMs it: the full deployment contract in one test.
+TEST(SvcDaemonE2E, ClassifyTwiceCanonicalHitThenGracefulDrain) {
+  const SpawnedDaemon daemon = spawn_lcld(testing::TempDir() + "lcld_e2e");
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_NE(daemon.port, 0) << "daemon never wrote its port file";
+  const std::uint16_t port = daemon.port;
 
   const auto health = http_request("127.0.0.1", port, "GET", "/healthz");
   EXPECT_EQ(health.status, 200);
@@ -431,9 +453,40 @@ TEST(SvcDaemonE2E, ClassifyTwiceCanonicalHitThenGracefulDrain) {
   EXPECT_GT(int_at(*second_body->find("cache"), "canonical_hits"), 0);
 
   // Graceful drain: SIGTERM, exit code 0.
-  ASSERT_EQ(kill(pid, SIGTERM), 0);
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  const int status = stop_lcld(daemon);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/// 400,000 nested arrays (800 KB, under the 1 MiB body cap) used to recurse
+/// the JSON parser off the end of its stack and kill the daemon with
+/// SIGSEGV. The depth cap makes it a structured 400 for that request only.
+TEST(SvcDaemonE2E, DeeplyNestedBodyIsA400AndTheDaemonStaysHealthy) {
+  const SpawnedDaemon daemon =
+      spawn_lcld(testing::TempDir() + "lcld_nested");
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_NE(daemon.port, 0) << "daemon never wrote its port file";
+
+  const std::string body =
+      std::string(400000, '[') + std::string(400000, ']');
+  const auto nested =
+      http_request("127.0.0.1", daemon.port, "POST", "/v1/classify", body);
+  EXPECT_EQ(nested.status, 400) << nested.body;
+  const auto parsed = parse_json(nested.body);
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_NE(parsed->find("error"), nullptr);
+  EXPECT_EQ(string_at(*parsed->find("error"), "code"), "bad_request");
+  EXPECT_NE(string_at(*parsed->find("error"), "message").find("nesting"),
+            std::string::npos);
+
+  const auto health =
+      http_request("127.0.0.1", daemon.port, "GET", "/healthz");
+  EXPECT_EQ(health.status, 200);
+  const auto clean = http_request("127.0.0.1", daemon.port, "POST",
+                                  "/v1/classify", kMatchingSpec);
+  EXPECT_EQ(clean.status, 200) << clean.body;
+
+  const int status = stop_lcld(daemon);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }

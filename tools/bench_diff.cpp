@@ -4,8 +4,10 @@
 //   bench_diff --baseline=OLD.json --current=NEW.json [--max-regress=0.25]
 //       Match benchmarks by name and fail when any current wall time
 //       exceeds its baseline by more than the threshold (default +25%).
-//       Benchmarks present on only one side are reported but not fatal -
-//       renames must not brick CI.
+//       A baseline benchmark missing from the current run fails too: a
+//       renamed or dropped benchmark would otherwise escape the gate. New
+//       benchmarks (current run only) are reported but not fatal; a rename
+//       lands together with its new baseline row.
 //
 //   bench_diff --current=RUN.json --min-speedup=SLOW:FAST:X
 //       Machine-independent ratio gate within one document: fail unless
@@ -189,6 +191,7 @@ int main(int argc, char** argv) {
       const auto found = current->find(name);
       if (found == current->end()) {
         std::cout << "MISSING  " << name << " (in baseline only)\n";
+        failed = true;
         continue;
       }
       const double ratio = base_ns > 0 ? found->second / base_ns : 1.0;
