@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <future>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -20,8 +21,7 @@
 #include "lint/canonical.hpp"
 #include "lint/spec_io.hpp"
 #include "obs/obs.hpp"
-#include "re/operators.hpp"
-#include "re/reduce.hpp"
+#include "re/chain.hpp"
 #include "re/zero_round.hpp"
 #include "util/combinatorics.hpp"
 
@@ -97,33 +97,29 @@ bool zero_round_cached(const NodeEdgeCheckableLcl& problem,
 NodeEdgeCheckableLcl speedup_step_cached(const NodeEdgeCheckableLcl& current,
                                          const ReLimits& limits,
                                          bool reduce_labels, Cache* cache) {
-  const std::string kind = std::string("step:") + (reduce_labels ? "r" : "f") +
-                           ":l" + std::to_string(limits.max_labels) + ":c" +
-                           std::to_string(limits.max_configs);
   if (auto* run = obs::RunContext::current(); run != nullptr) {
     run->bump("engine_steps");
   }
+  if (cache == nullptr) return speedup_iterate(current, limits, reduce_labels);
+  const std::string kind = std::string("step:") + (reduce_labels ? "r" : "f") +
+                           ":l" + std::to_string(limits.max_labels) + ":c" +
+                           std::to_string(limits.max_configs);
   // Exact tier ONLY: the payload embeds the derived next problem in the
   // *stored* problem's label space, and a canonical-tier hit would come
   // with an unknown induced permutation on that derived spec. Every other
   // survey kind stores label-invariant verdicts and goes two-tier.
-  if (cache != nullptr) {
-    if (const auto hit = cache->find(kind, current)) {
-      if (const auto* next = hit->find("next"); next != nullptr) {
-        return lint::build_spec(lint::spec_from_json_value(*next));
-      }
+  if (const auto hit = cache->find(kind, current)) {
+    if (const auto* next = hit->find("next"); next != nullptr) {
+      return lint::build_spec(lint::spec_from_json_value(*next));
     }
   }
-  ReStep psi = apply_r(current, limits);
-  if (reduce_labels) psi = reduce_step(std::move(psi), limits.kernel);
-  ReStep next = apply_rbar(psi.problem, limits);
-  if (reduce_labels) next = reduce_step(std::move(next), limits.kernel);
+  NodeEdgeCheckableLcl next = speedup_iterate(current, limits, reduce_labels);
   json::Value value = json::Value::make_object();
   value.object()["next"] =
-      lint::spec_to_json_value(lint::spec_from_problem(next.problem));
-  cache_put(cache, kind, current, value, nullptr,
-            /*index_canonical=*/false);  // payload is not label-invariant
-  return std::move(next.problem);
+      lint::spec_to_json_value(lint::spec_from_problem(next));
+  cache->insert(kind, current, value, nullptr,
+                /*index_canonical=*/false);  // payload is not label-invariant
+  return next;
 }
 
 /// The speedup-synthesis certificate the survey records per problem: the
@@ -179,88 +175,121 @@ EngineSummary summary_from_json(const json::Value& value) {
   return s;
 }
 
-/// `SpeedupEngine::run` semantics, re-expressed over the result cache: the
-/// whole-run summary is memoized per base problem, and on a miss every
-/// `Rbar o R` iterate and 0-round verdict flows through the shared step
-/// cache - so two different base problems whose sequences merge (common
-/// after reduction) never recompute the shared tail.
-EngineSummary cached_speedup(const NodeEdgeCheckableLcl& base,
-                             const SpeedupEngine::Options& options,
-                             Cache* cache,
-                             const lint::CanonicalForm* base_form) {
-  const std::string kind =
-      "engine:" + degrees_tag(options.degrees) + ":s" +
-      std::to_string(options.max_steps) + ":l" +
-      std::to_string(options.limits.max_labels) + ":c" +
-      std::to_string(options.limits.max_configs) +
-      (options.reduce ? ":r" : ":f");
-  if (const auto hit = cache_find(cache, kind, base, base_form)) {
-    return summary_from_json(*hit);
-  }
+std::string engine_kind(const SpeedupEngine::Options& options) {
+  return "engine:" + degrees_tag(options.degrees) + ":s" +
+         std::to_string(options.max_steps) + ":l" +
+         std::to_string(options.limits.max_labels) + ":c" +
+         std::to_string(options.limits.max_configs) +
+         (options.reduce ? ":r" : ":f");
+}
 
+/// `SpeedupEngine::run` semantics, re-expressed over the result cache: on a
+/// miss of the whole-run summary (looked up by the caller under
+/// `engine_kind`) the walk reads `chain`, whose iterates flow through the
+/// shared step cache - so two different base problems whose sequences
+/// merge (common after reduction) never recompute the shared tail - and
+/// every 0-round verdict through the "zr:" cache.
+EngineSummary walk_speedup(IterateChain& chain,
+                           const SpeedupEngine::Options& options,
+                           Cache* cache) {
   EngineSummary s;
-  NodeEdgeCheckableLcl effective = base;
   if (options.preflight_lint) {
-    lint::LintOptions lint_options;
-    lint_options.zero_round = false;
-    auto preflight = lint::prune_problem(base, lint_options);
+    const auto& preflight = chain.preflight();
     s.preflight_dead_labels = preflight.report.dead_labels;
     if (preflight.report.trivially_unsolvable) {
       s.detected_unsolvable = true;
       s.message = "preflight lint (L020): the pruned constraint set is empty";
-      cache_put(cache, kind, base, summary_to_json(s), base_form);
       return s;
     }
-    if (preflight.changed) effective = std::move(preflight.problem);
   }
-
-  const auto finish = [&]() {
-    cache_put(cache, kind, base, summary_to_json(s), base_form);
-    return s;
-  };
-
-  if (zero_round_cached(effective, options.degrees, cache)) {
+  if (zero_round_cached(chain.at(0), options.degrees, cache)) {
     s.zero_round_step = 0;
-    return finish();
+    return s;
   }
-  NodeEdgeCheckableLcl current = std::move(effective);
-  std::uint64_t current_signature = constraint_signature(current);
+  std::uint64_t current_signature = constraint_signature(chain.at(0));
   for (int step = 0; step < options.max_steps; ++step) {
-    NodeEdgeCheckableLcl next;
+    const NodeEdgeCheckableLcl* next = nullptr;
     try {
-      next = speedup_step_cached(current, options.limits, options.reduce,
-                                 cache);
+      next = &chain.at(static_cast<std::size_t>(step) + 1);
     } catch (const ReBlowupError& e) {
       s.budget_exhausted = true;
       s.message = e.what();
-      return finish();
+      return s;
     } catch (const std::runtime_error& e) {
       // reduce() trimmed every output label: unsolvable on any graph with
       // an edge (same interpretation as SpeedupEngine::run).
       s.detected_unsolvable = true;
       s.message = e.what();
-      return finish();
+      return s;
     }
     s.steps_applied = step + 1;
-    if (zero_round_cached(next, options.degrees, cache)) {
+    if (zero_round_cached(*next, options.degrees, cache)) {
       s.zero_round_step = step + 1;
-      return finish();
+      return s;
     }
-    const std::uint64_t next_signature = constraint_signature(next);
+    const NodeEdgeCheckableLcl& current =
+        chain.at(static_cast<std::size_t>(step));
+    const std::uint64_t next_signature = constraint_signature(*next);
     if (next_signature == current_signature &&
-        (same_constraints(next, current) ||
-         isomorphic_constraints(next, current))) {
+        (same_constraints(*next, current) ||
+         isomorphic_constraints(*next, current))) {
       s.fixed_point = true;
-      return finish();
+      return s;
     }
-    current = std::move(next);
     current_signature = next_signature;
   }
-  return finish();
+  return s;
 }
 
 bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
   return problem.input_alphabet().size() == 1 && problem.max_degree() >= 2;
+}
+
+/// True when the classifiers' O(1) probes only ever need iterates the
+/// engine walk needs too, so they can read the engine's cached chain
+/// without adding step-cache traffic. That holds when both walk the same
+/// sequence (pruned base, reduction on, the classifiers' default limits)
+/// and the engine stops no earlier: it has at least the classifiers' step
+/// budget, its fixed-point test implies theirs, and its degree set
+/// contains {1, 2} - a 0-round algorithm for a degree set also answers
+/// every subset, so an iterate that stops the engine stops both probes.
+bool classifiers_share_engine_chain(const SurveyOptions& options) {
+  const SpeedupEngine::Options& engine = options.engine;
+  const ReLimits defaults;
+  const auto has = [&engine](int degree) {
+    return std::find(engine.degrees.begin(), engine.degrees.end(), degree) !=
+           engine.degrees.end();
+  };
+  return engine.reduce && engine.preflight_lint &&
+         engine.limits.max_labels == defaults.max_labels &&
+         engine.limits.max_configs == defaults.max_configs &&
+         options.classifier_speedup_steps <= engine.max_steps &&
+         (engine.degrees.empty() || (has(1) && has(2)));
+}
+
+/// A classifier column through the cache. "cycle:"/"path:" payloads name
+/// no label, so they go two-tier like the other verdict kinds.
+template <typename Classify>
+std::string classified(Cache* cache, const std::string& kind,
+                       const NodeEdgeCheckableLcl& problem,
+                       const lint::CanonicalForm* form, Classify&& classify) {
+  if (const auto hit = cache_find(cache, kind, problem, form)) {
+    if (const auto* c = hit->find("complexity");
+        c != nullptr && c->is_string()) {
+      return c->as_string();
+    }
+    return "n/a";
+  }
+  const auto verdict = classify();
+  std::string complexity = to_string(verdict.complexity);
+  json::Value value = json::Value::make_object();
+  value.object()["complexity"] = json::Value(complexity);
+  value.object()["collapse"] = json::Value(
+      static_cast<std::int64_t>(verdict.zero_round_collapse_step));
+  value.object()["pruned"] =
+      json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
+  cache_put(cache, kind, problem, value, form);
+  return complexity;
 }
 
 ProblemOutcome survey_one(const FamilyMember& member,
@@ -289,53 +318,57 @@ ProblemOutcome survey_one(const FamilyMember& member,
             ? hex_signature(lint::spec_signature(canonical.spec))
             : hex_signature(out.signature) + "/incomplete";
     const lint::CanonicalForm* form = &canonical;
+
+    // One round-elimination chain per member: the engine walk reads it
+    // through the step cache, and the classifiers read the same iterates
+    // when they walk a prefix of that walk. Otherwise - or when the engine
+    // summary is a cache hit, so nothing walks the cached chain - they get
+    // a private uncached chain, exactly as standalone callers do. Either
+    // way the step cache sees the same traffic as without the classifiers.
+    const SpeedupEngine::Options& engine = options.engine;
+    const std::string engine_key = engine_kind(engine);
+    const auto engine_hit = cache_find(cache, engine_key, problem, form);
+    IterateChain engine_chain(
+        problem,
+        [&engine, cache](const NodeEdgeCheckableLcl& current) {
+          return speedup_step_cached(current, engine.limits, engine.reduce,
+                                     cache);
+        },
+        engine.preflight_lint);
+    std::optional<IterateChain> private_chain;
+    IterateChain& classifier_chain =
+        !engine_hit && classifiers_share_engine_chain(options)
+            ? engine_chain
+            : private_chain.emplace(problem);
+
     if (classifiers_applicable(problem)) {
+      const std::string steps =
+          std::to_string(options.classifier_speedup_steps);
       if (options.classify_cycles) {
-        const std::string kind =
-            "cycle:s" + std::to_string(options.classifier_speedup_steps);
-        if (const auto hit = cache_find(cache, kind, problem, form)) {
-          if (const auto* c = hit->find("complexity");
-              c != nullptr && c->is_string()) {
-            out.cycle_class = c->as_string();
-          }
-        } else {
-          const auto verdict =
-              classify_on_cycles(problem, options.classifier_speedup_steps);
-          out.cycle_class = to_string(verdict.complexity);
-          json::Value value = json::Value::make_object();
-          value.object()["complexity"] = json::Value(out.cycle_class);
-          value.object()["collapse"] = json::Value(
-              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-          value.object()["pruned"] =
-              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
-          cache_put(cache, kind, problem, value, form);
-        }
+        out.cycle_class = classified(cache, "cycle:s" + steps, problem, form,
+                                     [&] {
+                                       return classify_on_cycles(
+                                           classifier_chain,
+                                           options.classifier_speedup_steps);
+                                     });
       }
       if (options.classify_paths) {
-        const std::string kind =
-            "path:s" + std::to_string(options.classifier_speedup_steps);
-        if (const auto hit = cache_find(cache, kind, problem, form)) {
-          if (const auto* c = hit->find("complexity");
-              c != nullptr && c->is_string()) {
-            out.path_class = c->as_string();
-          }
-        } else {
-          const auto verdict =
-              classify_on_paths(problem, options.classifier_speedup_steps);
-          out.path_class = to_string(verdict.complexity);
-          json::Value value = json::Value::make_object();
-          value.object()["complexity"] = json::Value(out.path_class);
-          value.object()["collapse"] = json::Value(
-              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-          value.object()["pruned"] =
-              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
-          cache_put(cache, kind, problem, value, form);
-        }
+        out.path_class = classified(cache, "path:s" + steps, problem, form,
+                                    [&] {
+                                      return classify_on_paths(
+                                          classifier_chain,
+                                          options.classifier_speedup_steps);
+                                    });
       }
     }
 
-    const EngineSummary summary =
-        cached_speedup(problem, options.engine, options.cache, form);
+    EngineSummary summary;
+    if (engine_hit) {
+      summary = summary_from_json(*engine_hit);
+    } else {
+      summary = walk_speedup(engine_chain, engine, cache);
+      cache_put(cache, engine_key, problem, summary_to_json(summary), form);
+    }
     out.zero_round_step = summary.zero_round_step;
     out.steps_applied = summary.steps_applied;
     out.fixed_point = summary.fixed_point;

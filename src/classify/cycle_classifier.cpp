@@ -5,9 +5,8 @@
 
 #include "classify/automaton.hpp"
 #include "core/configuration.hpp"
-#include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
-#include "re/engine.hpp"
+#include "re/chain.hpp"
 
 namespace lcl {
 
@@ -62,22 +61,26 @@ std::vector<std::vector<Label>> walk_automaton(
 
 CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
                                        int max_speedup_steps) {
-  validate(problem);
+  IterateChain chain(problem);
+  return classify_on_cycles(chain, max_speedup_steps);
+}
+
+CycleClassification classify_on_cycles(IterateChain& chain,
+                                       int max_speedup_steps) {
+  validate(chain.base());
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
 
   // Lint pre-flight: an L020 verdict settles the classification outright,
   // and dead-label pruning shrinks the walk automaton (and the speedup
-  // engine's power-set base) without changing the complexity class.
-  lint::LintOptions lint_options;
-  lint_options.zero_round = false;
-  auto preflight = lint::prune_problem(problem, lint_options);
+  // sequence's power-set base) without changing the complexity class.
+  const auto& preflight = chain.preflight();
   result.pruned_labels = preflight.report.dead_labels;
   if (preflight.report.trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }
-  const NodeEdgeCheckableLcl& effective = preflight.problem;
+  const NodeEdgeCheckableLcl& effective = chain.at(0);
 
   const auto adj = walk_automaton(effective);
   if (LCL_OBS_ENABLED()) {
@@ -108,19 +111,13 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
     return result;
   }
 
-  // Flexible: O(1) or Theta(log* n). The round-elimination engine
+  // Flexible: O(1) or Theta(log* n). The round-elimination sequence
   // semidecides O(1) (Theorem 3.10 machinery restricted to degree 2).
-  SpeedupEngine engine(effective);
-  SpeedupEngine::Options options;
-  options.max_steps = max_speedup_steps;
-  options.degrees = {2};
-  const auto outcome = engine.run(options);
-  if (outcome.zero_round_step >= 0) {
-    result.complexity = CycleComplexity::kConstant;
-    result.zero_round_collapse_step = outcome.zero_round_step;
-  } else {
-    result.complexity = CycleComplexity::kLogStar;
-  }
+  result.zero_round_collapse_step =
+      zero_round_collapse_step(chain, {2}, max_speedup_steps);
+  result.complexity = result.zero_round_collapse_step >= 0
+                          ? CycleComplexity::kConstant
+                          : CycleComplexity::kLogStar;
   return result;
 }
 

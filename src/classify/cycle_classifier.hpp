@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/lcl.hpp"
+#include "re/chain.hpp"
 
 namespace lcl {
 
@@ -33,7 +34,7 @@ struct CycleClassification {
   /// union of arithmetic progressions with these gcds (one per automaton
   /// SCC); gcd 1 present <=> solvable on all large cycles.
   std::vector<std::uint64_t> scc_gcds;
-  /// Step at which the round-elimination engine certified O(1)
+  /// Step at which the round-elimination sequence certified O(1)
   /// (-1: no collapse within budget).
   int zero_round_collapse_step = -1;
   /// Dead output labels the lint pre-flight pruned before the walk
@@ -52,7 +53,7 @@ struct CycleClassification {
 ///  - every SCC has cycle-gcd > 1 => solvable only for a periodic subset of
 ///    lengths => global;
 ///  - some SCC has cycle-gcd 1 => solvable on all large cycles; then the
-///    round-elimination engine (Theorem 3.10 machinery, degree set {2})
+///    round-elimination sequence (Theorem 3.10 machinery, degree set {2})
 ///    separates O(1) - `f^k` becomes 0-round solvable for some k within
 ///    `max_speedup_steps` - from Theta(log* n).
 ///
@@ -61,6 +62,14 @@ struct CycleClassification {
 /// log* (correct for every problem whose collapse point, if any, lies
 /// within the budget).
 CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
+                                       int max_speedup_steps = 3);
+
+/// The same classification over `chain.base()`, reading the pre-flight and
+/// the `Rbar o R` iterates from `chain` - so a caller that walks the
+/// sequence anyway (the survey's engine column) shares them. The chain must
+/// be pruned, over reduced iterates within the default `ReLimits` budgets;
+/// the standalone overload builds a private one.
+CycleClassification classify_on_cycles(IterateChain& chain,
                                        int max_speedup_steps = 3);
 
 /// True iff the problem (no inputs, Delta >= 2) is solvable on the cycle of

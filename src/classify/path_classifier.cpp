@@ -7,9 +7,8 @@
 
 #include "classify/automaton.hpp"
 #include "core/configuration.hpp"
-#include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
-#include "re/engine.hpp"
+#include "re/chain.hpp"
 #include "util/label_set.hpp"
 
 namespace lcl {
@@ -118,7 +117,13 @@ bool solvable_on_path_length(const NodeEdgeCheckableLcl& problem,
 
 PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
                                      int max_speedup_steps) {
-  validate(problem);
+  IterateChain chain(problem);
+  return classify_on_paths(chain, max_speedup_steps);
+}
+
+PathClassification classify_on_paths(IterateChain& chain,
+                                     int max_speedup_steps) {
+  validate(chain.base());
   LCL_OBS_SPAN(span, "classify/paths", "classify");
   PathClassification result;
 
@@ -126,15 +131,13 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   // pruning shrinks the automaton without changing the class. Note that
   // `solvable_for_all_lengths` stays correct too - dead labels occur in no
   // valid labeling of any path.
-  lint::LintOptions lint_options;
-  lint_options.zero_round = false;
-  auto preflight = lint::prune_problem(problem, lint_options);
+  const auto& preflight = chain.preflight();
   result.pruned_labels = preflight.report.dead_labels;
   if (preflight.report.trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }
-  const NodeEdgeCheckableLcl& effective = preflight.problem;
+  const NodeEdgeCheckableLcl& effective = chain.at(0);
 
   const auto a = build_automaton(effective);
   if (LCL_OBS_ENABLED()) {
@@ -187,17 +190,11 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
     return result;
   }
 
-  SpeedupEngine engine(effective);
-  SpeedupEngine::Options options;
-  options.max_steps = max_speedup_steps;
-  options.degrees = {1, 2};
-  const auto outcome = engine.run(options);
-  if (outcome.zero_round_step >= 0) {
-    result.complexity = CycleComplexity::kConstant;
-    result.zero_round_collapse_step = outcome.zero_round_step;
-  } else {
-    result.complexity = CycleComplexity::kLogStar;
-  }
+  result.zero_round_collapse_step =
+      zero_round_collapse_step(chain, {1, 2}, max_speedup_steps);
+  result.complexity = result.zero_round_collapse_step >= 0
+                          ? CycleComplexity::kConstant
+                          : CycleComplexity::kLogStar;
   return result;
 }
 

@@ -25,8 +25,13 @@ struct PathClassification {
 ///  - no feasible walk for all large n  => unsolvable or global;
 ///  - feasible for all large n (some gcd-1 SCC on a start-to-end route, or
 ///    enough slack in walk lengths) => Theta(log* n) or, when the round
-///    elimination engine collapses (degrees {1, 2}), O(1).
+///    elimination sequence collapses (degrees {1, 2}), O(1).
 PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
+                                     int max_speedup_steps = 2);
+
+/// The same classification over `chain.base()`, sharing the chain's
+/// pre-flight and iterates (see the `classify_on_cycles` chain overload).
+PathClassification classify_on_paths(IterateChain& chain,
                                      int max_speedup_steps = 2);
 
 /// True iff the problem is solvable on the path with `n` nodes (n >= 1

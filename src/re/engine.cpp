@@ -9,25 +9,13 @@
 #include "lint/canonical.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
+#include "re/chain.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
 
 namespace lcl {
 
 namespace {
-
-/// Cheap structural signature for fixed-point detection: label count and
-/// per-degree configuration counts. A matching signature alone is only a
-/// *likely* fixed point - it is confirmed by an exact (up to output-label
-/// renaming) constraint comparison before being reported.
-std::vector<std::size_t> signature(const NodeEdgeCheckableLcl& p) {
-  std::vector<std::size_t> sig{p.output_alphabet().size(),
-                               p.edge_configs().size()};
-  for (int d = 1; d <= p.max_degree(); ++d) {
-    sig.push_back(p.node_configs(d).size());
-  }
-  return sig;
-}
 
 /// The synthesized constant-round algorithm: evaluates the 0-round witness
 /// at level k and lifts it down level by level via Lemma 3.9, simulating
@@ -209,7 +197,6 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
     return outcome;
   }
 
-  auto previous_signature = signature(effective_base_);
   for (int step = 0; step < options.max_steps; ++step) {
     const auto start = std::chrono::steady_clock::now();
     LCL_OBS_SPAN(step_span, "re/step", "re");
@@ -303,21 +290,14 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
     outcome.steps.push_back(stats);
     if (outcome.zero_round_step >= 0) return outcome;
 
-    const auto sig = signature(latest);
-    if (sig == previous_signature) {
-      // The signature can collide for genuinely different problems; only an
-      // exact match (up to relabeling outputs) certifies the fixed point.
-      const NodeEdgeCheckableLcl& prior =
-          levels_.size() >= 2 ? levels_[levels_.size() - 2].next.problem
-                              : effective_base_;
-      if (same_constraints(latest, prior) ||
-          isomorphic_constraints(latest, prior)) {
-        outcome.fixed_point = true;
-        LCL_OBS_EVENT1("re/fixed_point", "re", "step", step);
-        return outcome;
-      }
+    const NodeEdgeCheckableLcl& prior =
+        levels_.size() >= 2 ? levels_[levels_.size() - 2].next.problem
+                            : effective_base_;
+    if (is_fixed_point(latest, prior)) {
+      outcome.fixed_point = true;
+      LCL_OBS_EVENT1("re/fixed_point", "re", "step", step);
+      return outcome;
     }
-    previous_signature = sig;
   }
   return outcome;
 }

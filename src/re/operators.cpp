@@ -93,6 +93,11 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
   NodeEdgeCheckableLcl::Builder builder(
       std::string(name_prefix) + "(" + pi.name() + ")", pi.input_alphabet(),
       std::move(derived), pi.max_degree());
+  // Reduction's trim keeps an input whose outputs all died; its g row is
+  // empty, and so is every derived g row over it (the only subset of the
+  // empty set is not a label). Such an input admits no output at all, so
+  // no 0-round witness exists - the problem is carried, not rejected.
+  builder.allow_unsatisfiable_inputs();
   const bool exists_node = node_quantifier == Quantifier::kExists;
   std::vector<LabelSet> meaning =
       use_mask

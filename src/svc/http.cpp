@@ -263,6 +263,15 @@ bool HttpServer::start() {
   listen_fd_ = open_listener(options_.bind_address, options_.port,
                              &bound_port_, &error_);
   if (listen_fd_ < 0) return false;
+  int wake[2];
+  if (::pipe(wake) != 0) {
+    error_ = std::string("pipe failed: ") + std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return false;
+  }
+  wake_read_ = wake[0];
+  wake_write_ = wake[1];
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -272,6 +281,11 @@ bool HttpServer::start() {
 void HttpServer::drain() {
   if (!running()) return;
   draining_.store(true, std::memory_order_release);
+  // One byte makes the wake pipe readable for good: the accept loop and
+  // every idle connection stop polling at once instead of at their next
+  // 100 ms timeout.
+  const char byte = 0;
+  (void)!::write(wake_write_, &byte, 1);
   // Join the accept thread first: once it is gone (it closes the listen
   // socket on exit, so later connects are refused) the connection count can
   // only fall, and waiting for zero is race-free.
@@ -280,6 +294,10 @@ void HttpServer::drain() {
     std::unique_lock<std::mutex> lock(conn_mutex_);
     conn_cv_.wait(lock, [this] { return live_connections_ == 0; });
   }
+  // No thread polls the pipe any more.
+  ::close(wake_read_);
+  ::close(wake_write_);
+  wake_read_ = wake_write_ = -1;
   // The listener is closed and every connection finished: the server is no
   // longer running (start() may be called again).
   running_.store(false, std::memory_order_release);
@@ -289,12 +307,13 @@ void HttpServer::stop() { drain(); }
 
 void HttpServer::accept_loop() {
   while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    // 100 ms poll bounds drain() latency without a wakeup pipe.
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
+    pollfd pfds[2] = {};
+    pfds[0].fd = listen_fd_;
+    pfds[0].events = POLLIN;
+    pfds[1].fd = wake_read_;  // drain() writes it
+    pfds[1].events = POLLIN;
+    const int ready = ::poll(pfds, 2, 100);
+    if (ready <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
     if (draining_.load(std::memory_order_acquire)) break;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
@@ -363,15 +382,19 @@ void HttpServer::serve_connection(int fd) {
         }
         break;
       }
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, 100);
+      // An idle connection also watches the wake pipe, so drain() retires
+      // it at once; a partial request keeps reading until its deadline.
+      pollfd pfds[2] = {};
+      pfds[0].fd = fd;
+      pfds[0].events = POLLIN;
+      pfds[1].fd = wake_read_;
+      pfds[1].events = POLLIN;
+      const int ready = ::poll(pfds, buffer.empty() ? 2 : 1, 100);
       if (ready < 0) {
         peer_closed = true;
         break;
       }
-      if (ready == 0) continue;
+      if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       char chunk[4096];
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
@@ -461,10 +484,11 @@ void HttpServer::serve_connection(int fd) {
   }
 
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    --live_connections_;
-  }
+  // Notify while holding the lock: once drain() sees zero it may return
+  // and the destructor may free conn_cv_, so the broadcast has to finish
+  // before the waiter can re-acquire the mutex.
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  --live_connections_;
   conn_cv_.notify_all();
 }
 

@@ -145,12 +145,17 @@ class HttpServer {
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> rejected_{0};
   int listen_fd_ = -1;
+  /// Self-pipe drain() writes to wake the accept loop and idle connections
+  /// out of their polls; open from start() until drain() has finished.
+  int wake_read_ = -1;
+  int wake_write_ = -1;
   std::uint16_t bound_port_ = 0;
   std::string error_;
 
   // Connection threads detach; drain() waits on this count instead of
-  // joining. A connection thread touches no server state after its final
-  // decrement-and-notify, so waiting on zero is a safe teardown barrier.
+  // joining. A connection thread decrements and notifies under the mutex
+  // and touches no server state after releasing it, so waiting on zero is
+  // a safe teardown barrier.
   std::mutex conn_mutex_;
   std::condition_variable conn_cv_;
   std::size_t live_connections_ = 0;

@@ -2,19 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "batch/cache.hpp"
+#include "classify/cycle_classifier.hpp"
+#include "classify/path_classifier.hpp"
 #include "core/problems.hpp"
 #include "lint/canonical.hpp"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
+#include "obs/exporter.hpp"
+#include "obs/metrics.hpp"
 #include "re/engine.hpp"
 
 namespace lcl {
@@ -347,6 +354,165 @@ TEST(Survey, CanonicalReportIsDeterministicAcrossJobsAndCacheStates) {
     options.cache = &cache;
     EXPECT_EQ(batch::run_survey(family, options).to_json(), raw);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One round-elimination chain per member: the classifiers read the engine
+// walk's iterates instead of running engines of their own.
+
+/// The full Delta=2 l=2 family plus every 8th Delta=2 l=3 member.
+Family shared_chain_family() {
+  Family family = batch::exhaustive_family({});
+  batch::ExhaustiveFamilyOptions l3;
+  l3.labels = 3;
+  const auto wide = batch::exhaustive_family(l3);
+  for (std::size_t i = 0; i < wide.members.size(); i += 8) {
+    family.members.push_back(wide.members[i]);
+  }
+  family.description = "shared-chain";
+  return family;
+}
+
+std::int64_t int_field(const obs::json::Value& value, const char* key) {
+  const auto* field = value.find(key);
+  return field != nullptr && field->is_number() ? field->as_int() : -99;
+}
+
+TEST(Survey, SharedChainVerdictsMatchTheStandaloneClassifiers) {
+  const Family family = shared_chain_family();
+  Cache cache;
+  auto options = default_options();
+  options.cache = &cache;
+  const auto report = batch::run_survey(family, options);
+  ASSERT_EQ(report.outcomes.size(), family.members.size());
+  EXPECT_EQ(report.errors, 0u);
+
+  std::map<std::string, const batch::ProblemOutcome*> rows;
+  for (const auto& row : report.outcomes) rows[row.name] = &row;
+  const int steps = options.classifier_speedup_steps;
+  const std::string suffix = ":s" + std::to_string(steps);
+  for (const auto& member : family.members) {
+    const auto cycle = classify_on_cycles(member.problem, steps);
+    const auto path = classify_on_paths(member.problem, steps);
+    ASSERT_EQ(rows.count(member.name), 1u) << member.name;
+    EXPECT_EQ(rows[member.name]->cycle_class, to_string(cycle.complexity))
+        << member.name;
+    EXPECT_EQ(rows[member.name]->path_class, to_string(path.complexity))
+        << member.name;
+    // The cached payloads carry the collapse step the row does not show.
+    const auto cycle_hit = cache.find("cycle" + suffix, member.problem);
+    const auto path_hit = cache.find("path" + suffix, member.problem);
+    ASSERT_TRUE(cycle_hit.has_value()) << member.name;
+    ASSERT_TRUE(path_hit.has_value()) << member.name;
+    EXPECT_EQ(int_field(*cycle_hit, "collapse"),
+              cycle.zero_round_collapse_step)
+        << member.name;
+    EXPECT_EQ(int_field(*path_hit, "collapse"), path.zero_round_collapse_step)
+        << member.name;
+  }
+}
+
+/// The "step:" records of a disk tier, sorted (only their order may vary).
+std::vector<std::string> step_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"kind\":\"step:") != std::string::npos) {
+      lines.push_back(line);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(Survey, ClassifiersAddNoStepCacheTraffic) {
+  const Family family = shared_chain_family();
+  const std::size_t n = family.members.size();
+  const auto run = [&family](bool classify, const std::string& path,
+                             bool load_existing) {
+    Cache::Options cache_options;
+    cache_options.disk_path = path;
+    cache_options.load_existing = load_existing;
+    Cache cache(std::move(cache_options));
+    auto options = default_options();
+    options.classify_cycles = classify;
+    options.classify_paths = classify;
+    options.cache = &cache;
+    const auto report = batch::run_survey(family, options);
+    EXPECT_EQ(report.errors, 0u);
+    return cache.stats();
+  };
+  const std::string off_path = testing::TempDir() + "lcl_chain_off.jsonl";
+  const std::string on_path = testing::TempDir() + "lcl_chain_on.jsonl";
+  std::remove(off_path.c_str());
+  std::remove(on_path.c_str());
+
+  const auto off = run(false, off_path, false);
+  const auto on = run(true, on_path, false);
+  // Every member adds exactly its own cycle:/path: miss and insert (the
+  // members are pairwise distinct); the step, zr and engine traffic is
+  // unchanged, record for record.
+  EXPECT_EQ(on.hits, off.hits);
+  EXPECT_EQ(on.misses, off.misses + 2 * n);
+  EXPECT_EQ(on.insertions, off.insertions + 2 * n);
+  EXPECT_EQ(step_lines(on_path), step_lines(off_path));
+
+  // Classifiers over a tier that already holds every engine summary: the
+  // engine walks nothing, so the classifiers walk private chains and the
+  // step cache sees no traffic at all.
+  const auto before = step_lines(off_path);
+  const auto warm = run(true, off_path, true);
+  EXPECT_EQ(warm.hits, n);  // the engine summaries
+  EXPECT_EQ(warm.misses, 2 * n);
+  EXPECT_EQ(warm.insertions, 2 * n);
+  EXPECT_EQ(step_lines(off_path), before);
+}
+
+TEST(Survey, BlowUpStepIsComputedOnce) {
+  if (!obs::telemetry_compiled_in()) {
+    GTEST_SKIP() << "operator counters are compiled out (LCL_OBS=0)";
+  }
+  // Blows up in its second Rbar o R step - within the classifiers' two
+  // steps - and is flexible on both cycles and paths, so all three
+  // consumers reach the failing step.
+  batch::ExhaustiveFamilyOptions l3;
+  l3.labels = 3;
+  Family family;
+  family.description = "blow-up";
+  for (auto& member : batch::exhaustive_family(l3).members) {
+    if (member.name == "d2l3-n22-e41") family.members.push_back(member);
+  }
+  ASSERT_EQ(family.members.size(), 1u);
+  const auto& problem = family.members.front().problem;
+
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& applications = obs::registry().counter("re.operator_applications");
+  const auto options = default_options();
+
+  const std::uint64_t engine_start = applications.value();
+  SpeedupEngine engine(problem);
+  const auto expected = engine.run(options.engine);
+  const std::uint64_t engine_ops = applications.value() - engine_start;
+
+  const std::uint64_t survey_start = applications.value();
+  const auto report = batch::run_survey(family, options);
+  const std::uint64_t survey_ops = applications.value() - survey_start;
+  obs::set_metrics_enabled(was_enabled);
+
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  const auto& row = report.outcomes.front();
+  ASSERT_TRUE(expected.budget_exhausted);
+  EXPECT_EQ(expected.steps.size(), 1u);
+  EXPECT_TRUE(row.budget_exhausted);
+  EXPECT_EQ(row.steps_applied, 1);
+  EXPECT_EQ(row.note, expected.blowup_message);
+  EXPECT_EQ(row.cycle_class, "Theta(log* n)");
+  EXPECT_EQ(row.path_class, "Theta(log* n)");
+  // The survey applies exactly the operators one engine run applies: the
+  // classifiers reuse the chain, including its stored blow-up.
+  EXPECT_GT(engine_ops, 0u);
+  EXPECT_EQ(survey_ops, engine_ops);
 }
 
 #ifdef LCL_BATCH_GOLDEN_DIR

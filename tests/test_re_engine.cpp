@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "batch/survey.hpp"
 #include "core/brute_force.hpp"
 #include "core/checker.hpp"
 #include "core/problems.hpp"
 #include "graph/generators.hpp"
+#include "fuzz/generator.hpp"
 #include "graph/labeling.hpp"
+#include "re/chain.hpp"
 #include "re/lift.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
@@ -205,6 +212,133 @@ TEST(Engine, ProblemAtTracksSequence) {
   }
   EXPECT_THROW(engine.problem_at(engine.steps_applied() + 1),
                std::out_of_range);
+}
+
+TEST(Engine, CarriesInputsWhoseOutputsAllDied) {
+  // Input 'x' permits only 'b', and 'b' is in no node configuration:
+  // reduce()'s trim keeps 'x' with an empty g row. The operators must carry
+  // that state (the derived g row is empty too) instead of rejecting it.
+  Alphabet in({"w", "x"});
+  Alphabet out({"a", "b"});
+  NodeEdgeCheckableLcl::Builder b("starved-input", in, out, 2);
+  b.allow_node({0, 0}).allow_node({0});
+  b.allow_edge(0, 0).allow_edge(0, 1);
+  b.allow_output_for_input(0, 0).allow_output_for_input(1, 1);
+  const auto problem = b.build();
+  const auto reduced = reduce(problem);
+  ASSERT_TRUE(reduced.problem.allowed_outputs(1).empty());
+
+  const ReStep psi = apply_r(reduced.problem, {});
+  EXPECT_TRUE(psi.problem.allowed_outputs(1).empty());
+  EXPECT_FALSE(psi.problem.allowed_outputs(0).empty());
+  const ReStep next = apply_rbar(psi.problem, {});
+  EXPECT_TRUE(next.problem.allowed_outputs(1).empty());
+  // An input that admits no output rules out every 0-round witness.
+  EXPECT_FALSE(zero_round_solvable(next.problem));
+}
+
+TEST(Engine, FuzzSeedsWithStarvedInputsRunToAnOutcome) {
+  // Default-generator seeds whose iterates trim an input's every output;
+  // run() used to let the operators' std::logic_error escape, and the
+  // survey turned it into an error row.
+  for (const std::uint64_t seed : {94u, 128u}) {
+    const auto c = fuzz::random_case(fuzz::GeneratorOptions{}, seed);
+    SpeedupEngine engine(c.problem);
+    SpeedupEngine::Options options;
+    options.max_steps = 3;
+    SpeedupEngine::Outcome outcome;
+    ASSERT_NO_THROW(outcome = engine.run(options)) << "seed " << seed;
+
+    batch::Family family;
+    family.members.push_back(batch::FamilyMember{"seed", c.problem});
+    batch::SurveyOptions survey;
+    survey.engine.max_steps = 3;
+    const auto report = batch::run_survey(family, survey);
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    const auto& row = report.outcomes.front();
+    EXPECT_TRUE(row.error.empty()) << "seed " << seed << ": " << row.error;
+    EXPECT_EQ(row.zero_round_step, outcome.zero_round_step) << seed;
+    EXPECT_EQ(row.budget_exhausted, outcome.budget_exhausted) << seed;
+    EXPECT_EQ(row.detected_unsolvable, outcome.detected_unsolvable) << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// IterateChain: the shared, lazily built sequence.
+
+TEST(IterateChain, CollapseProbeAgreesWithTheEngine) {
+  const std::vector<NodeEdgeCheckableLcl> cases = {
+      problems::trivial(2),      problems::any_orientation(2),
+      problems::two_coloring(2), problems::coloring(3, 2),
+      problems::maximal_matching(2),
+  };
+  for (const auto& problem : cases) {
+    for (const std::vector<int>& degrees :
+         {std::vector<int>{2}, std::vector<int>{1, 2}}) {
+      SpeedupEngine engine(problem);
+      SpeedupEngine::Options options;
+      options.max_steps = 2;
+      options.degrees = degrees;
+      const auto outcome = engine.run(options);
+      IterateChain chain(problem);
+      EXPECT_EQ(zero_round_collapse_step(chain, degrees, 2),
+                outcome.zero_round_step)
+          << problem.name() << " degrees " << degrees.size();
+    }
+  }
+}
+
+TEST(IterateChain, KeepsIteratesAndFailuresAcrossCallers) {
+  int calls = 0;
+  const auto coloring = problems::coloring(3, 2);
+  IterateChain chain(coloring,
+                     [&calls](const NodeEdgeCheckableLcl& current) {
+                       if (++calls == 3) throw ReBlowupError("third step");
+                       return current;
+                     });
+  const NodeEdgeCheckableLcl* first = &chain.at(1);
+  const NodeEdgeCheckableLcl* second = &chain.at(2);
+  EXPECT_EQ(calls, 2);
+  // Later iterates never move earlier ones.
+  EXPECT_THROW(chain.at(4), ReBlowupError);
+  EXPECT_EQ(&chain.at(1), first);
+  EXPECT_EQ(&chain.at(2), second);
+  // The failed step is computed once; every later caller gets its error.
+  EXPECT_THROW(chain.at(3), ReBlowupError);
+  EXPECT_THROW(chain.at(5), ReBlowupError);
+  EXPECT_EQ(calls, 3);
+  // A blow-up ends the probe without a collapse.
+  EXPECT_EQ(zero_round_collapse_step(chain, {2}, 3), -1);
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(IterateChain, ProbeStopsAtAFixedPoint) {
+  int calls = 0;
+  const auto two_coloring = problems::two_coloring(2);
+  IterateChain chain(two_coloring,
+                     [&calls](const NodeEdgeCheckableLcl& current) {
+                       ++calls;
+                       return current;  // f(pi) = pi
+                     });
+  EXPECT_EQ(zero_round_collapse_step(chain, {2}, 5), -1);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(IterateChain, TriviallyUnsolvableChainsHaveNoSequence) {
+  Alphabet in({"-"});
+  Alphabet out({"a", "b"});
+  NodeEdgeCheckableLcl::Builder b("no-edge-fits", in, out, 2);
+  b.allow_node({0, 0}).allow_node({0});
+  b.allow_edge(1, 1);
+  b.unrestricted_inputs();
+  const auto problem = b.build();
+  IterateChain chain(problem);
+  EXPECT_TRUE(chain.preflight().report.trivially_unsolvable);
+  EXPECT_THROW(chain.at(0), std::logic_error);
+  // Without the pre-flight the chain starts from the problem as given.
+  IterateChain raw(problem, [](const NodeEdgeCheckableLcl& p) { return p; },
+                   /*prune=*/false);
+  EXPECT_EQ(&raw.at(0), &problem);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -109,6 +110,28 @@ TEST(SvcHttpServer, StartsOnEphemeralPortAndStops) {
   EXPECT_GT(server.port(), 0);
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(SvcHttpServer, DestroyRightAfterDrainLifecycleLoop) {
+  // Each round frees the server as soon as drain() returns - right behind
+  // the last connection thread's decrement-and-notify. A notify issued
+  // after releasing the lock could touch the destroyed condition variable;
+  // ThreadSanitizer (the obs-tsan preset) flags that as a use-after-free.
+  // Odd rounds close the client before draining; even rounds leave it idle
+  // on keep-alive, so drain() itself retires the connection while it waits.
+  for (int round = 0; round < 200; ++round) {
+    auto server = std::make_unique<HttpServer>(echo_options());
+    ASSERT_TRUE(server->start()) << server->error();
+    auto connection = std::make_unique<RawConnection>(server->port());
+    connection->send("GET /echo HTTP/1.1\r\nHost: x\r\n\r\n");
+    ASSERT_NE(connection->read_one_response().find("200 OK"),
+              std::string::npos)
+        << "round " << round;
+    if (round % 2 == 1) connection.reset();
+    server->drain();
+    EXPECT_FALSE(server->running()) << "round " << round;
+    server.reset();
+  }
 }
 
 TEST(SvcHttpServer, StartWithoutHandlerFails) {
