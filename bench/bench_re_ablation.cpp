@@ -12,31 +12,44 @@
 #include "core/problems.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
+#include "reference/operators_reference.hpp"
 #include "reference/reduce_reference.hpp"
 
 namespace lcl {
 namespace {
 
+using Operator = ReStep (*)(const NodeEdgeCheckableLcl&, const ReLimits&);
+
+/// The operator pair a bench row runs: production (one-word mask fill) or
+/// the original `LabelSet` enumeration from tests/reference.
+struct Operators {
+  Operator r;
+  Operator rbar;
+  bool mask_kernel;
+};
+constexpr Operators kProduction{&apply_r, &apply_rbar, true};
+constexpr Operators kGenericReference{&reference::apply_r_generic,
+                                      &reference::apply_rbar_generic, false};
+
 void run_ablation(benchmark::State& state,
                   const NodeEdgeCheckableLcl& problem, bool with_reduce,
-                  ReKernel kernel = ReKernel::kAuto) {
+                  const Operators& ops = kProduction) {
   ReLimits limits;
   limits.max_labels = 1u << 14;
   limits.max_configs = 8'000'000;
-  limits.kernel = kernel;
   std::size_t labels_psi = 0, labels_next = 0, configs_next = 0;
   bool blowup = false;
   const bench::ObsCounters obs_counters;
   for (auto _ : state) {
     try {
-      ReStep psi = apply_r(problem, limits);
+      ReStep psi = ops.r(problem, limits);
       if (with_reduce) {
-        auto red = reduce(psi.problem, kernel);
+        auto red = reduce(psi.problem);
         psi.problem = std::move(red.problem);
       }
-      ReStep next = apply_rbar(psi.problem, limits);
+      ReStep next = ops.rbar(psi.problem, limits);
       if (with_reduce) {
-        auto red = reduce(next.problem, kernel);
+        auto red = reduce(next.problem);
         next.problem = std::move(red.problem);
       }
       labels_psi = psi.problem.output_alphabet().size();
@@ -54,12 +67,12 @@ void run_ablation(benchmark::State& state,
   state.counters["configs_next"] = static_cast<double>(configs_next);
   state.counters["blowup"] = blowup ? 1 : 0;
   state.counters["reduce"] = with_reduce ? 1 : 0;
-  state.counters["mask_kernel"] = kernel == ReKernel::kGeneric ? 0 : 1;
+  state.counters["mask_kernel"] = ops.mask_kernel ? 1 : 0;
 }
 
 // Experiment BENCH-JSON / the kernel ablation: the same operator slice on
-// the original ordered-container enumeration (`kGeneric`) versus the dense
-// `LabelMask` kernels (`kMask`). One slice iteration applies both R and
+// the original ordered-container enumeration (tests/reference) versus the
+// production one-word `LabelMask` fill. One slice iteration applies both R and
 // Rbar at the slice's scale; Rbar runs on the base problem rather than on
 // R(Pi), because the faithful composition exceeds any enumeration budget
 // already at k=5 (reduce leaves 30 labels, so Rbar(reduce(R(Pi))) would
@@ -68,16 +81,16 @@ void run_ablation(benchmark::State& state,
 // 3) is the CI-gated pair: `tools/bench_diff --min-speedup` asserts the
 // mask column stays >= 3x faster.
 void run_kernel_slice(benchmark::State& state,
-                      const NodeEdgeCheckableLcl& problem, ReKernel kernel) {
+                      const NodeEdgeCheckableLcl& problem,
+                      const Operators& ops) {
   ReLimits limits;
   limits.max_labels = 1u << 14;
   limits.max_configs = 64'000'000;
-  limits.kernel = kernel;
   std::size_t labels_r = 0, configs_r = 0;
   const bench::ObsCounters obs_counters;
   for (auto _ : state) {
-    ReStep r = apply_r(problem, limits);
-    ReStep rbar = apply_rbar(problem, limits);
+    ReStep r = ops.r(problem, limits);
+    ReStep rbar = ops.rbar(problem, limits);
     labels_r = r.problem.output_alphabet().size();
     configs_r = r.problem.total_node_configs() +
                 r.problem.edge_configs().size();
@@ -87,40 +100,25 @@ void run_kernel_slice(benchmark::State& state,
   obs_counters.report(state);
   state.counters["labels_r"] = static_cast<double>(labels_r);
   state.counters["configs_r"] = static_cast<double>(configs_r);
-  state.counters["mask_kernel"] = kernel == ReKernel::kGeneric ? 0 : 1;
+  state.counters["mask_kernel"] = ops.mask_kernel ? 1 : 0;
 }
 
 void BM_KernelSlice_D3K5_Generic(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kGeneric);
+  run_kernel_slice(state, problems::coloring(5, 3), kGenericReference);
 }
 BENCHMARK(BM_KernelSlice_D3K5_Generic)->Unit(benchmark::kMillisecond);
 
 void BM_KernelSlice_D3K5_Mask(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kMask);
+  run_kernel_slice(state, problems::coloring(5, 3), kProduction);
 }
 BENCHMARK(BM_KernelSlice_D3K5_Mask)->Unit(benchmark::kMillisecond);
-
-// Forced multi-word tiers on the same slice: kMask2/kMask4 widen every
-// word-parallel loop to 2/4 words even though one would do, bounding the
-// cost of the 65-128 and 129-256 label tiers relative to both endpoints
-// (they must stay well ahead of the generic enumeration; the CI gate pins
-// that ratio per tier).
-void BM_KernelSlice_D3K5_Mask2(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kMask2);
-}
-BENCHMARK(BM_KernelSlice_D3K5_Mask2)->Unit(benchmark::kMillisecond);
-
-void BM_KernelSlice_D3K5_Mask4(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kMask4);
-}
-BENCHMARK(BM_KernelSlice_D3K5_Mask4)->Unit(benchmark::kMillisecond);
 
 // Reduce slice past the one-word seam. The dominated-label pass is the one
 // per-iterate pass whose cost is quadratic in the alphabet, and its worst
 // case is a *fruitless* scan: every ordered pair passes the edge-partner and
 // g-preimage inclusions and is rejected only at the node-configuration
 // probe, so the full n^2 sweep runs to completion. This problem pins that
-// shape at 96 labels (W=2 tier under kAuto): all edges allowed (partner
+// shape at 96 labels (two-word partner rows): all edges allowed (partner
 // inclusions always hold), node constraint = {l, l} doubles only (replacing
 // one occurrence yields a forbidden mixed pair, so no label is ever
 // dominated, and the per-label node contexts keep merge_once from firing).
@@ -145,15 +143,19 @@ NodeEdgeCheckableLcl wide_probe_wall(int labels) {
   return b.build();
 }
 
-using ReduceFn = Reduction (*)(NodeEdgeCheckableLcl, ReKernel);
+using ReduceFn = Reduction (*)(NodeEdgeCheckableLcl);
+
+Reduction production_reduce(NodeEdgeCheckableLcl problem) {
+  return reduce(std::move(problem));
+}
 
 void run_reduce_slice(benchmark::State& state,
-                      const NodeEdgeCheckableLcl& problem, ReKernel kernel,
-                      ReduceFn reduce_fn = &reduce) {
+                      const NodeEdgeCheckableLcl& problem,
+                      ReduceFn reduce_fn) {
   std::size_t labels_out = 0, configs_out = 0;
   const bench::ObsCounters obs_counters;
   for (auto _ : state) {
-    auto red = reduce_fn(problem, kernel);
+    auto red = reduce_fn(problem);
     labels_out = red.problem.output_alphabet().size();
     configs_out = red.problem.total_node_configs() +
                   red.problem.edge_configs().size();
@@ -162,16 +164,18 @@ void run_reduce_slice(benchmark::State& state,
   obs_counters.report(state);
   state.counters["labels_out"] = static_cast<double>(labels_out);
   state.counters["configs_out"] = static_cast<double>(configs_out);
-  state.counters["mask_kernel"] = kernel == ReKernel::kGeneric ? 0 : 1;
+  state.counters["mask_kernel"] = reduce_fn == &production_reduce ? 1 : 0;
 }
 
+// `_Generic` runs the reference passes (tests/reference): the `LabelSet`
+// dominated-label scan and the original merge.
 void BM_ReduceSlice_Wide96_Generic(benchmark::State& state) {
-  run_reduce_slice(state, wide_probe_wall(96), ReKernel::kGeneric);
+  run_reduce_slice(state, wide_probe_wall(96), &reference::reduce);
 }
 BENCHMARK(BM_ReduceSlice_Wide96_Generic)->Unit(benchmark::kMillisecond);
 
 void BM_ReduceSlice_Wide96_Auto(benchmark::State& state) {
-  run_reduce_slice(state, wide_probe_wall(96), ReKernel::kAuto);
+  run_reduce_slice(state, wide_probe_wall(96), &production_reduce);
 }
 BENCHMARK(BM_ReduceSlice_Wide96_Auto)->Unit(benchmark::kMillisecond);
 
@@ -188,13 +192,12 @@ const NodeEdgeCheckableLcl& blowup_iterate() {
 }
 
 void BM_ReduceSlice_D2L3_Blowup(benchmark::State& state) {
-  run_reduce_slice(state, blowup_iterate(), ReKernel::kAuto);
+  run_reduce_slice(state, blowup_iterate(), &production_reduce);
 }
 BENCHMARK(BM_ReduceSlice_D2L3_Blowup)->Unit(benchmark::kMillisecond);
 
 void BM_ReduceSlice_D2L3_Blowup_Reference(benchmark::State& state) {
-  run_reduce_slice(state, blowup_iterate(), ReKernel::kAuto,
-                   &reference::reduce);
+  run_reduce_slice(state, blowup_iterate(), &reference::reduce);
 }
 BENCHMARK(BM_ReduceSlice_D2L3_Blowup_Reference)
     ->Unit(benchmark::kMillisecond);
@@ -210,7 +213,7 @@ BENCHMARK(BM_ReduceSlice_D2L3_Blowup_Reference)
   BENCHMARK(BM_Ablation_##name##_Faithful);                     \
   void BM_Ablation_##name##_FaithfulGeneric(                    \
       benchmark::State& state) {                                \
-    run_ablation(state, expr, false, ReKernel::kGeneric);       \
+    run_ablation(state, expr, false, kGenericReference);        \
   }                                                             \
   BENCHMARK(BM_Ablation_##name##_FaithfulGeneric);
 

@@ -594,28 +594,30 @@ SurveyReport run_survey(const Family& family, const SurveyOptions& options) {
     run->publish_gauges();
   }
 
+  finalize_report(report, std::move(outcomes));
+  return report;
+}
+
+void finalize_report(SurveyReport& report, std::vector<ProblemOutcome> rows) {
   // Canonical order: the report is byte-identical for any thread count.
-  std::sort(outcomes.begin(), outcomes.end(),
+  std::sort(rows.begin(), rows.end(),
             [](const ProblemOutcome& a, const ProblemOutcome& b) {
               return a.key < b.key;
             });
-  for (const auto& outcome : outcomes) {
+  for (const auto& outcome : rows) {
     ++report.class_counts[outcome.landscape_class];
     report.class_exemplars.emplace(outcome.landscape_class, outcome.name);
     if (!outcome.error.empty()) ++report.errors;
   }
-  {
-    std::vector<std::string> keys;
-    keys.reserve(outcomes.size());
-    for (const auto& outcome : outcomes) {
-      if (!outcome.canonical_key.empty()) keys.push_back(outcome.canonical_key);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    report.canonical_classes = keys.size();
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (const auto& outcome : rows) {
+    if (!outcome.canonical_key.empty()) keys.push_back(outcome.canonical_key);
   }
-  report.outcomes = std::move(outcomes);
-  return report;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  report.canonical_classes = keys.size();
+  report.outcomes = std::move(rows);
 }
 
 json::Value SurveyReport::to_json_value() const {

@@ -165,6 +165,13 @@ struct SurveyReport {
 /// member's row; they never abort the survey or the pool.
 SurveyReport run_survey(const Family& family, const SurveyOptions& options);
 
+/// Stores `rows` as `report.outcomes`, sorted into canonical key order, and
+/// fills the aggregate columns from them: class counts, class exemplars,
+/// errors and canonical classes. `run_survey` and `merge_shard_reports` both
+/// finish their reports here, so a merged report matches the single-pool
+/// report by construction.
+void finalize_report(SurveyReport& report, std::vector<ProblemOutcome> rows);
+
 /// One report row as JSON - exactly the rendering `SurveyReport::to_json`
 /// uses - and its lossless inverse. The round-trip is what lets the shard
 /// merge (`batch::merge_shard_reports`) reassemble a byte-identical

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "classify/cycle_classifier.hpp"
 #include "classify/path_classifier.hpp"
@@ -79,7 +80,11 @@ std::optional<NodeEdgeCheckableLcl> drop_one_config(
 /// Oracle (a): per-instance solvability of `pi` and `Rbar(R(pi))` must
 /// coincide (a solution of `pi` embeds as singletons; a solution of
 /// `Rbar(R(pi))` lifts via Lemma 3.9), and a lifted solution must pass the
-/// `pi` checker.
+/// `pi` checker. Like the engine's pre-flight, the operators run on `pi`'s
+/// lint-pruned core: dead labels occur in no correct solution, so the core
+/// is solvable on exactly the instances `pi` is, and a lifted core solution
+/// maps back to `pi` through `new_to_old`. (Unpruned, the dead bulk of a
+/// wide-alphabet case trips the operators' alphabet guard on every seed.)
 OracleResult oracle_lift_soundness(const FuzzCase& c,
                                    const OracleOptions& o) {
   OracleResult r;
@@ -88,32 +93,47 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
     return r;
   }
 
+  // A verdict that no solution exists on any graph with an edge; the base
+  // problem must agree on this instance.
+  const auto expect_base_unsolvable = [&](const std::string& why) {
+    r.applicable = true;
+    try {
+      if (brute_force_solvable(c.problem, c.graph, c.input,
+                               o.brute_force_budget)) {
+        r.failed = true;
+        r.message = why + ", but the base problem is solvable on the instance";
+      }
+    } catch (const StepBudgetExceeded&) {
+      r.applicable = false;
+    }
+    return r;
+  };
+
+  lint::LintOptions lint_options;
+  lint_options.zero_round = false;
+  const auto pruned = lint::prune_problem(c.problem, lint_options);
+  if (pruned.report.trivially_unsolvable) {
+    return expect_base_unsolvable(
+        "the pre-flight lint found the pruned constraints empty (L020)");
+  }
+  const NodeEdgeCheckableLcl& core =
+      pruned.changed ? pruned.problem : c.problem;
+
   ReStep psi;
   ReStep next;
   try {
-    psi = reduce_step(apply_r(c.problem, o.limits), o.limits.kernel);
-    next = reduce_step(apply_rbar(psi.problem, o.limits), o.limits.kernel);
+    psi = reduce_step(apply_r(core, o.limits));
+    next = reduce_step(apply_rbar(psi.problem, o.limits));
   } catch (const ReBlowupError&) {
     return r;  // enumeration budget - skip, don't judge
   } catch (const std::logic_error&) {
     return r;  // derived problem unbuildable (e.g. empty g after shrinking)
   } catch (const std::runtime_error& e) {
     // reduce() proved a derived problem unsolvable on every graph with an
-    // edge; the base problem must agree on this instance.
-    r.applicable = true;
-    try {
-      if (brute_force_solvable(c.problem, c.graph, c.input,
-                               o.brute_force_budget)) {
-        r.failed = true;
-        r.message =
-            std::string("reduction declared the sequence unsolvable, but "
-                        "the base problem is solvable on the instance (") +
-            e.what() + ")";
-      }
-    } catch (const StepBudgetExceeded&) {
-      r.applicable = false;
-    }
-    return r;
+    // edge.
+    return expect_base_unsolvable(
+        std::string("reduction declared the sequence unsolvable (") +
+        e.what() + ")");
   }
 
   if (o.inject == "drop-rbar-config") {
@@ -148,8 +168,11 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
   if (next_solution) {
     const SequenceLevel level{psi, next};
     try {
-      const auto lifted = lift_solution(c.problem, level, c.graph, c.input,
-                                        *next_solution);
+      auto lifted =
+          lift_solution(core, level, c.graph, c.input, *next_solution);
+      if (pruned.changed) {
+        for (auto& label : lifted) label = pruned.report.new_to_old[label];
+      }
       const auto check =
           check_solution(c.problem, c.graph, c.input, lifted);
       if (!check.ok()) {

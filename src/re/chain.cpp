@@ -26,9 +26,9 @@ NodeEdgeCheckableLcl speedup_iterate(const NodeEdgeCheckableLcl& current,
                                      const ReLimits& limits,
                                      bool reduce_labels) {
   ReStep psi = apply_r(current, limits);
-  if (reduce_labels) psi = reduce_step(std::move(psi), limits.kernel);
+  if (reduce_labels) psi = reduce_step(std::move(psi));
   ReStep next = apply_rbar(psi.problem, limits);
-  if (reduce_labels) next = reduce_step(std::move(next), limits.kernel);
+  if (reduce_labels) next = reduce_step(std::move(next));
   return std::move(next.problem);
 }
 

@@ -207,13 +207,9 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
       const NodeEdgeCheckableLcl& current =
           levels_.empty() ? effective_base_ : levels_.back().next.problem;
       ReStep psi = apply_r(current, options.limits);
-      if (options.reduce) {
-        psi = reduce_step(std::move(psi), options.limits.kernel);
-      }
+      if (options.reduce) psi = reduce_step(std::move(psi));
       ReStep next = apply_rbar(psi.problem, options.limits);
-      if (options.reduce) {
-        next = reduce_step(std::move(next), options.limits.kernel);
-      }
+      if (options.reduce) next = reduce_step(std::move(next));
       if (options.canonicalize_iterates) {
         // Pure relabeling of the iterate: the problem takes its canonical
         // label order and the meaning table is permuted alongside

@@ -1,7 +1,6 @@
 #include "re/kernel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <future>
 #include <sstream>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "batch/pool.hpp"
-#include "util/combinatorics.hpp"
 #include "util/label_mask.hpp"
 
 namespace lcl {
@@ -60,77 +58,24 @@ namespace re_kernel {
 
 namespace {
 
-/// True iff the multiset {sets[0], .., sets[d-1]} admits a selection that is
-/// an allowed node configuration of `pi`. Checked per stored configuration
-/// via a small backtracking matching (configurations and degrees are tiny).
-bool exists_selection_in_node_constraint(const NodeEdgeCheckableLcl& pi,
-                                         const std::vector<LabelSet>& sets) {
-  const int degree = static_cast<int>(sets.size());
-  for (const auto& config : pi.node_configs(degree)) {
-    // Match each config label occurrence to a distinct slot whose set
-    // contains it.
-    const auto& labels = config.labels();
-    std::vector<char> used(sets.size(), 0);
-    // Recursive matching over config positions.
-    const auto match = [&](auto&& self, std::size_t pos) -> bool {
-      if (pos == labels.size()) return true;
-      for (std::size_t slot = 0; slot < sets.size(); ++slot) {
-        if (!used[slot] && sets[slot].contains(labels[pos])) {
-          used[slot] = 1;
-          if (self(self, pos + 1)) return true;
-          used[slot] = 0;
-        }
-      }
-      return false;
-    };
-    if (match(match, 0)) return true;
-  }
-  return false;
-}
-
-/// True iff EVERY selection from the sets is an allowed node configuration
-/// of `pi`.
-bool all_selections_in_node_constraint(const NodeEdgeCheckableLcl& pi,
-                                       const std::vector<LabelSet>& sets) {
-  // Search for a counterexample selection.
-  const bool found_bad = for_each_selection(
-      sets, [&](const std::vector<std::uint32_t>& selection) {
-        return !pi.node_allows(
-            Configuration(std::vector<Label>(selection.begin(),
-                                             selection.end())));
-      });
-  return !found_bad;
-}
-
-template <std::size_t W>
-using Words = std::array<std::uint64_t, W>;
-
-/// Bit `l` of the W-word mask. The `% W` keeps the word index provably in
-/// range for the optimizer (labels are range-checked upstream).
-template <std::size_t W>
-inline bool words_bit(const Words<W>& words, Label l) {
-  return (words[(l >> 6) % W] >> (l & 63)) & 1;
-}
-
 /// One step of the config-into-slots matching: can occurrences
-/// `labels[pos..degree)` be assigned to distinct unused slots whose words
+/// `labels[pos..degree)` be assigned to distinct unused slots whose masks
 /// contain them? `used` is a slot bitmask. Since configurations are sorted,
 /// equal labels are adjacent; forcing equal occurrences into increasing
 /// slots (`min_slot`) collapses the permutations of identical labels to one
 /// canonical assignment.
-template <std::size_t W>
 bool config_fits_slots(const Label* labels, std::size_t degree,
-                       const Words<W>* slots, std::uint32_t used,
+                       const std::uint64_t* slots, std::uint32_t used,
                        std::size_t pos, std::size_t min_slot) {
   if (pos == degree) return true;
   const Label l = labels[pos];
   const std::size_t start =
       pos > 0 && labels[pos - 1] == l ? min_slot + 1 : 0;
   for (std::size_t slot = start; slot < degree; ++slot) {
-    if (((used >> slot) & 1) == 0 && words_bit<W>(slots[slot], l)) {
-      if (config_fits_slots<W>(labels, degree, slots,
-                               used | (std::uint32_t{1} << slot), pos + 1,
-                               slot)) {
+    if (((used >> slot) & 1) == 0 && ((slots[slot] >> l) & 1) != 0) {
+      if (config_fits_slots(labels, degree, slots,
+                            used | (std::uint32_t{1} << slot), pos + 1,
+                            slot)) {
         return true;
       }
     }
@@ -138,28 +83,25 @@ bool config_fits_slots(const Label* labels, std::size_t degree,
   return false;
 }
 
-/// Mask variant of the EXISTS quantifier: a selection exists iff some
-/// stored configuration (flattened, `degree` labels per row) matches into
-/// the slot words.
-template <std::size_t W>
+/// The EXISTS quantifier: a selection exists iff some stored configuration
+/// (flattened, `degree` labels per row) matches into the slot masks.
 bool exists_selection_mask(const std::vector<Label>& flat_configs,
-                           const Words<W>* slots, std::size_t degree) {
+                           const std::uint64_t* slots, std::size_t degree) {
   for (std::size_t at = 0; at < flat_configs.size(); at += degree) {
-    if (config_fits_slots<W>(flat_configs.data() + at, degree, slots, 0, 0,
-                             0)) {
+    if (config_fits_slots(flat_configs.data() + at, degree, slots, 0, 0, 0)) {
       return true;
     }
   }
   return false;
 }
 
-/// Mask variant of the FORALL quantifier: walks the cartesian product of
-/// the slot words' set bits (across all W words), canonicalizes each
-/// selection by insertion sort into `sorted` (degrees are tiny), and probes
-/// the packed memo; aborts on the first disallowed selection.
-template <std::size_t W>
-bool all_selections_mask(const NodeConfigIndex& index, const Words<W>* slots,
-                         std::size_t degree, Label* selection, Label* sorted) {
+/// The FORALL quantifier: walks the cartesian product of the slot masks'
+/// set bits, canonicalizes each selection by insertion sort into `sorted`
+/// (degrees are tiny), and probes the packed memo; aborts on the first
+/// disallowed selection.
+bool all_selections_mask(const NodeConfigIndex& index,
+                         const std::uint64_t* slots, std::size_t degree,
+                         Label* selection, Label* sorted) {
   const auto walk = [&](auto&& self, std::size_t slot) -> bool {
     if (slot == degree) {
       for (std::size_t i = 0; i < degree; ++i) {
@@ -173,14 +115,11 @@ bool all_selections_mask(const NodeConfigIndex& index, const Words<W>* slots,
       }
       return index.allows_sorted(sorted, degree);
     }
-    for (std::size_t wi = 0; wi < W; ++wi) {
-      std::uint64_t word = slots[slot][wi];
-      while (word != 0) {
-        selection[slot] = static_cast<Label>(
-            64 * wi + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-        if (!self(self, slot + 1)) return false;
-      }
+    std::uint64_t word = slots[slot];
+    while (word != 0) {
+      selection[slot] = static_cast<Label>(std::countr_zero(word));
+      word &= word - 1;
+      if (!self(self, slot + 1)) return false;
     }
     return true;
   };
@@ -247,15 +186,12 @@ void run_deterministic(const std::vector<Chunk>& chunks, std::size_t jobs,
 /// ends (first-index partitions shrink as the index grows) balance out.
 constexpr std::size_t kChunksPerJob = 16;
 
-template <std::size_t W>
-std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
-                                  const NodeEdgeCheckableLcl& pi,
-                                  bool exists_node, std::size_t jobs) {
+}  // namespace
+
+std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
+                                const NodeEdgeCheckableLcl& pi,
+                                bool exists_node, std::size_t jobs) {
   const std::size_t base = pi.output_alphabet().size();
-  // The derived label indices (2^base - 1 of them) must fit one word no
-  // matter how wide the masks are; the public operators' alphabet guard
-  // rejects such bases long before dispatch, so this only fences direct
-  // callers.
   if (base >= 63) {
     std::ostringstream os;
     os << "re_kernel::fill_mask: base alphabet of " << base
@@ -267,34 +203,28 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
   const std::size_t chunk_target = jobs <= 1 ? 1 : jobs * kChunksPerJob;
 
   // Per-base-label edge partner words.
-  std::vector<Words<W>> partners(base);
+  std::vector<std::uint64_t> partners(base);
   for (std::size_t b = 0; b < base; ++b) {
     partners[b] =
-        LabelMaskW<W>::from_label_set(pi.edge_partners(static_cast<Label>(b)))
-            .words();
+        LabelMask::from_label_set(pi.edge_partners(static_cast<Label>(b)))
+            .word();
   }
 
   // Subset DP: partner words of every derived mask from its
-  // lowest-bit-removed predecessor - one W-word AND/OR per mask. Masks over
-  // the base alphabet live in word 0 (base < 63), so the DP is indexed by
-  // the plain word-0 value; the *partner* sides are full W-word vectors.
-  std::vector<Words<W>> forall(label_count + 1, Words<W>{});
-  std::vector<Words<W>> exists(label_count + 1, Words<W>{});
+  // lowest-bit-removed predecessor - one AND/OR per mask.
+  std::vector<std::uint64_t> forall(label_count + 1, 0);
+  std::vector<std::uint64_t> exists(label_count + 1, 0);
   for (std::uint64_t m = 1; m <= label_count; ++m) {
     const std::size_t b = static_cast<std::size_t>(std::countr_zero(m));
     const std::uint64_t rest = m & (m - 1);
-    for (std::size_t w = 0; w < W; ++w) {
-      forall[m][w] =
-          rest != 0 ? (forall[rest][w] & partners[b][w]) : partners[b][w];
-      exists[m][w] =
-          rest != 0 ? (exists[rest][w] | partners[b][w]) : partners[b][w];
-    }
+    forall[m] = rest != 0 ? (forall[rest] & partners[b]) : partners[b];
+    exists[m] = rest != 0 ? (exists[rest] | partners[b]) : partners[b];
   }
 
   // Edge constraint. For R ({B1,B2} allowed iff B2 subseteq
   // forall_partners(B1), a symmetric relation) the allowed partners of B1
   // are exactly the non-empty submasks of its FORALL word - a subset walk
-  // visits just those instead of testing every pair. For Rbar a W-word AND
+  // visits just those instead of testing every pair. For Rbar one AND
   // decides each pair. The outer row loop partitions into contiguous
   // chunks; each task collects its allowed pairs into a flat arena, merged
   // in chunk order.
@@ -305,19 +235,16 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
           std::vector<std::pair<Label, Label>> allowed;
           for (std::uint64_t mi = chunk.first; mi < chunk.second; ++mi) {
             if (exists_node) {
-              for_each_nonempty_submask_words<W>(
-                  forall[mi], [&](const Words<W>& sub) {
-                    // Submasks of a base-alphabet word stay in word 0.
-                    const std::uint64_t value = sub[0];
-                    if (value >= mi) {
-                      allowed.emplace_back(static_cast<Label>(mi - 1),
-                                           static_cast<Label>(value - 1));
-                    }
-                  });
+              for_each_nonempty_submask(forall[mi], [&](std::uint64_t sub) {
+                if (sub >= mi) {
+                  allowed.emplace_back(static_cast<Label>(mi - 1),
+                                       static_cast<Label>(sub - 1));
+                }
+              });
             } else {
-              const Words<W>& any = exists[mi];
+              const std::uint64_t any = exists[mi];
               for (std::uint64_t mj = mi; mj <= label_count; ++mj) {
-                if ((mj & any[0]) != 0) {
+                if ((mj & any) != 0) {
                   allowed.emplace_back(static_cast<Label>(mi - 1),
                                        static_cast<Label>(mj - 1));
                 }
@@ -336,7 +263,7 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
 
   // Node constraint per degree: walk the non-decreasing index tuples in
   // enumerate_multisets order (without materializing them) and evaluate the
-  // quantifier on the slot words. Derived label i IS the mask i + 1. The
+  // quantifier on the slot masks. Derived label i IS the mask i + 1. The
   // walk partitions by the tuple's first index: a task owns the contiguous
   // first-index range [chunk.first, chunk.second) and appends each allowed
   // multiset to its flat arena (degree labels per row); arenas merge in
@@ -361,7 +288,7 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
         [&](const std::pair<std::uint64_t, std::uint64_t>& chunk) {
           std::vector<Label> arena;
           std::vector<std::uint32_t> idx(degree);
-          std::vector<Words<W>> slots(degree);
+          std::vector<std::uint64_t> slots(degree);
           std::vector<Label> selection(degree);
           std::vector<Label> sorted(degree);
           for (std::uint64_t first = chunk.first; first < chunk.second;
@@ -370,16 +297,14 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
                       static_cast<std::uint32_t>(first));
             do {
               for (std::size_t t = 0; t < degree; ++t) {
-                slots[t] = Words<W>{};
-                slots[t][0] = static_cast<std::uint64_t>(idx[t]) + 1;
+                slots[t] = static_cast<std::uint64_t>(idx[t]) + 1;
               }
               const bool allowed =
                   exists_node
-                      ? exists_selection_mask<W>(flat_configs, slots.data(),
-                                                 degree)
-                      : all_selections_mask<W>(index, slots.data(), degree,
-                                               selection.data(),
-                                               sorted.data());
+                      ? exists_selection_mask(flat_configs, slots.data(),
+                                              degree)
+                      : all_selections_mask(index, slots.data(), degree,
+                                            selection.data(), sorted.data());
               if (allowed) {
                 arena.insert(arena.end(), idx.begin(), idx.end());
               }
@@ -403,10 +328,10 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
   // g: the derived labels compatible with input l are exactly the
   // non-empty submasks of g_Pi(l) - enumerated directly by a subset walk.
   for (Label in = 0; in < pi.input_alphabet().size(); ++in) {
-    const Words<W> g =
-        LabelMaskW<W>::from_label_set(pi.allowed_outputs(in)).words();
-    for_each_nonempty_submask_words<W>(g, [&](const Words<W>& sub) {
-      builder.allow_output_for_input(in, static_cast<Label>(sub[0] - 1));
+    const std::uint64_t g =
+        LabelMask::from_label_set(pi.allowed_outputs(in)).word();
+    for_each_nonempty_submask(g, [&](std::uint64_t sub) {
+      builder.allow_output_for_input(in, static_cast<Label>(sub - 1));
     });
   }
 
@@ -417,98 +342,6 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
     meaning.push_back(LabelMask(base, m).to_label_set());
   }
   return meaning;
-}
-
-}  // namespace
-
-std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
-                                   const NodeEdgeCheckableLcl& pi,
-                                   bool exists_node) {
-  const std::size_t base = pi.output_alphabet().size();
-  std::vector<LabelSet> derived =
-      all_nonempty_subsets(base, /*max_universe_bits=*/62);
-  const std::size_t label_count = derived.size();
-
-  // Precompute, per derived label B:
-  //  - forall_partners(B) = { b : {b1, b} in E_Pi for ALL b1 in B }
-  //  - exists_partners(B) = { b : {b1, b} in E_Pi for SOME b1 in B }
-  std::vector<LabelSet> forall_partners(label_count, LabelSet(base));
-  std::vector<LabelSet> exists_partners(label_count, LabelSet(base));
-  for (std::size_t i = 0; i < label_count; ++i) {
-    LabelSet all = LabelSet::full(base);
-    LabelSet any(base);
-    for (const auto b : derived[i].to_vector()) {
-      all = all.intersect_with(pi.edge_partners(b));
-      any = any.union_with(pi.edge_partners(b));
-    }
-    forall_partners[i] = std::move(all);
-    exists_partners[i] = std::move(any);
-  }
-
-  // Edge constraint.
-  for (std::size_t i = 0; i < label_count; ++i) {
-    for (std::size_t j = i; j < label_count; ++j) {
-      const bool allowed =
-          exists_node
-              // R: edge is the FORALL side.
-              ? derived[j].is_subset_of(forall_partners[i])
-              // Rbar: edge is the EXISTS side.
-              : derived[j].intersects(exists_partners[i]);
-      if (allowed) {
-        builder.allow_edge(static_cast<Label>(i), static_cast<Label>(j));
-      }
-    }
-  }
-
-  // Node constraint per degree.
-  std::vector<LabelSet> slot_sets;
-  for (int d = 1; d <= pi.max_degree(); ++d) {
-    for (const auto& multiset :
-         enumerate_multisets(label_count, static_cast<std::size_t>(d))) {
-      slot_sets.clear();
-      for (const auto l : multiset) slot_sets.push_back(derived[l]);
-      const bool allowed =
-          exists_node ? exists_selection_in_node_constraint(pi, slot_sets)
-                      : all_selections_in_node_constraint(pi, slot_sets);
-      if (allowed) {
-        builder.allow_node(
-            std::vector<Label>(multiset.begin(), multiset.end()));
-      }
-    }
-  }
-
-  // g: derived label allowed for input l iff its meaning is a subset of
-  // g_Pi(l).
-  for (Label in = 0; in < pi.input_alphabet().size(); ++in) {
-    const LabelSet& allowed = pi.allowed_outputs(in);
-    for (std::size_t i = 0; i < label_count; ++i) {
-      if (derived[i].is_subset_of(allowed)) {
-        builder.allow_output_for_input(in, static_cast<Label>(i));
-      }
-    }
-  }
-
-  return derived;
-}
-
-std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
-                                const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t words,
-                                std::size_t jobs) {
-  switch (words) {
-    case 1:
-      return fill_mask_w<1>(builder, pi, exists_node, jobs);
-    case 2:
-      return fill_mask_w<2>(builder, pi, exists_node, jobs);
-    case 4:
-      return fill_mask_w<4>(builder, pi, exists_node, jobs);
-    case 8:
-      return fill_mask_w<8>(builder, pi, exists_node, jobs);
-    default:
-      throw std::invalid_argument(
-          "re_kernel::fill_mask: supported mask tiers are 1, 2, 4 or 8 "
-          "words");
-  }
 }
 
 }  // namespace re_kernel

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/lcl.hpp"
-#include "re/step.hpp"
 
 namespace lcl {
 
@@ -14,9 +13,9 @@ namespace lcl {
 /// a 64- or 128-bit key and hashed exactly once at construction; membership
 /// probes are then one pack + one flat hash lookup instead of an ordered-set
 /// walk with vector comparisons. This is the shared lookup structure of the
-/// mask kernels (`ReKernel::kMask` and the wider tiers) and of `reduce()`'s
-/// dominated-label pass, both of which probe the same configurations over
-/// and over across different derived multisets.
+/// operator fill and of `reduce()`'s dominated-label pass, both of which
+/// probe the same configurations over and over across different derived
+/// multisets.
 ///
 /// Packing uses `bits_per_label = bit_width(|Sigma_out| - 1)` bits per
 /// label; a degree packs into one word when `degree * bits_per_label <= 64`
@@ -88,69 +87,33 @@ class NodeConfigIndex {
   std::vector<std::unordered_set<Key128, Key128Hash>> packed2_;
 };
 
-/// Internal entry points of the operator enumeration paths; the public
-/// `apply_r`/`apply_rbar` dispatch here on `ReLimits::kernel`. All paths
-/// share the alphabet/configuration guards (performed by the dispatcher),
-/// emit identical obs counters, and build constraint-identical problems
-/// with identical label names - `test_re_kernel_parity` fences that.
+/// The enumeration behind the public `apply_r`/`apply_rbar`, which run the
+/// alphabet and configuration guards before calling it.
 namespace re_kernel {
-
-/// Narrowest supported `LabelMaskW` tier (in 64-bit words) covering an
-/// alphabet of `n` labels: 1, 2, 4 or 8; 0 when `n > 512` (no tier fits -
-/// callers fall back to the generic path and record `re.kernel_fallback`).
-constexpr std::size_t mask_tier_words(std::size_t n) {
-  if (n <= 64) return 1;
-  if (n <= 128) return 2;
-  if (n <= 256) return 4;
-  if (n <= 512) return 8;
-  return 0;
-}
-
-/// Word count a forced kernel choice pins (0 for `kAuto`/`kGeneric`, which
-/// do not force a tier).
-constexpr std::size_t forced_tier_words(ReKernel kernel) {
-  switch (kernel) {
-    case ReKernel::kMask:
-      return 1;
-    case ReKernel::kMask2:
-      return 2;
-    case ReKernel::kMask4:
-      return 4;
-    case ReKernel::kMask8:
-      return 8;
-    default:
-      return 0;
-  }
-}
 
 /// Fills `builder` (already carrying the derived alphabet) with the edge,
 /// node and `g` constraints of `R(pi)` / `Rbar(pi)`, and returns the
 /// derived labels' meanings. `exists_node` is true for `R` (node EXISTS /
 /// edge FORALL) and false for `Rbar` (node FORALL / edge EXISTS).
 ///
-/// The generic path walks `LabelSet` containers; the mask path identifies
-/// derived label `i` with the mask `i + 1` (a `LabelMaskW<words>` value),
-/// computes per-label FORALL/EXISTS partner words by a subset DP,
-/// enumerates `g`-compatible labels by multi-word subset walks, and answers
-/// node-quantifier queries through a `NodeConfigIndex`. `words` selects the
-/// mask tier (1, 2, 4 or 8); every tier produces byte-identical output (the
-/// parity battery fences this). The mask path requires the base output
-/// alphabet of `pi` to satisfy `base < 63` - the derived label *indices*
-/// (2^base - 1 of them) must fit one word regardless of tier - and throws
-/// `std::invalid_argument` otherwise.
+/// Derived label `i` is the base-label mask `i + 1` (one `uint64_t`): the
+/// fill computes per-mask FORALL/EXISTS partner words by a subset DP,
+/// enumerates `g`-compatible labels by subset walks, and answers
+/// node-quantifier queries through a `NodeConfigIndex`. It requires the
+/// base output alphabet of `pi` to satisfy `base < 63`, so that the 2^base - 1
+/// derived masks fit one word, and throws `std::invalid_argument` otherwise
+/// (unreachable through the public operators, whose guard rejects such
+/// bases first). `test_re_kernel_parity` fences the output against the
+/// ordered-container enumeration in `tests/reference`.
 ///
 /// `jobs > 1` partitions the outer enumeration (edge rows, node multisets
 /// keyed by their first index) across a `batch::Pool` of that many workers,
 /// each appending allowed configurations to a flat per-worker arena; the
 /// arenas are merged in partition order, so the built problem is identical
 /// for every jobs value.
-std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
-                                   const NodeEdgeCheckableLcl& pi,
-                                   bool exists_node);
 std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
                                 const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t words = 1,
-                                std::size_t jobs = 1);
+                                bool exists_node, std::size_t jobs = 1);
 
 }  // namespace re_kernel
 

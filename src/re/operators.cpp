@@ -1,6 +1,5 @@
 #include "re/operators.hpp"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -17,8 +16,7 @@ enum class Quantifier { kExists, kForAll };
 
 /// Shared scaffolding of R and Rbar: both have output alphabet
 /// 2^Sigma_out(Pi) \ {{}} and g(l) = { A : A subseteq g_Pi(l) }. The
-/// alphabet guard and the naming are kernel-independent; the derived label
-/// `i` always denotes the base-label set whose mask is `i + 1`.
+/// derived label `i` denotes the base-label set whose mask is `i + 1`.
 Alphabet derive_alphabet(const NodeEdgeCheckableLcl& pi,
                          const ReLimits& limits) {
   const std::size_t base = pi.output_alphabet().size();
@@ -47,7 +45,6 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
                "re");
   Alphabet derived = derive_alphabet(pi, limits);
   const std::size_t label_count = derived.size();
-  const std::size_t base = pi.output_alphabet().size();
 
   // Configuration-count guard across all degrees plus edge pairs.
   std::uint64_t candidates = count_multisets(label_count, 2);
@@ -73,23 +70,6 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
   LCL_OBS_SPAN_ARG(span, "labels", label_count);
   LCL_OBS_SPAN_ARG(span, "configs", candidates);
 
-  // Kernel dispatch. The alphabet guard above already rejected bases that
-  // do not fit one word, so kAuto always resolves to the one-word mask
-  // kernel here; forced tiers (kMask2/kMask4/kMask8) run the same fill over
-  // wider words (the extra words are zero for these bases - the parity
-  // battery leans on that to fence the word-seam arithmetic). The generic
-  // path stays reachable explicitly (ablation benches, parity fences).
-  const std::size_t forced = re_kernel::forced_tier_words(limits.kernel);
-  const bool use_mask = limits.kernel != ReKernel::kGeneric &&
-                        base <= LabelMask::kMaxUniverse;
-  if (limits.kernel == ReKernel::kMask && base > LabelMask::kMaxUniverse) {
-    throw std::invalid_argument(
-        "round elimination: ReKernel::kMask requires a base alphabet of at "
-        "most 64 labels");
-  }
-  const std::size_t words = use_mask ? std::max<std::size_t>(forced, 1) : 0;
-  LCL_OBS_SPAN_ARG(span, "kernel", static_cast<std::int64_t>(words));
-
   NodeEdgeCheckableLcl::Builder builder(
       std::string(name_prefix) + "(" + pi.name() + ")", pi.input_alphabet(),
       std::move(derived), pi.max_degree());
@@ -100,9 +80,7 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
   builder.allow_unsatisfiable_inputs();
   const bool exists_node = node_quantifier == Quantifier::kExists;
   std::vector<LabelSet> meaning =
-      use_mask
-          ? re_kernel::fill_mask(builder, pi, exists_node, words, limits.jobs)
-          : re_kernel::fill_generic(builder, pi, exists_node);
+      re_kernel::fill_mask(builder, pi, exists_node, limits.jobs);
 
   return ReStep{builder.build(), std::move(meaning)};
 }

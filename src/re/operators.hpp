@@ -19,9 +19,9 @@ namespace lcl {
 /// As in the paper (note after Definition 3.1), non-maximal configurations
 /// are NOT removed here; use `reduce()` for the sound label-level
 /// simplifications. Throws `ReBlowupError` when the enumeration would
-/// exceed `limits`. `limits.kernel` selects the enumeration implementation
-/// (dense bitmask kernels by default - see `re/kernel.hpp`); all kernels
-/// build constraint-identical problems.
+/// exceed `limits`. The enumeration runs on one-word label masks
+/// (`re_kernel::fill_mask` in `re/kernel.hpp`); `limits.jobs` spreads it
+/// across worker threads without changing the built problem.
 ReStep apply_r(const NodeEdgeCheckableLcl& pi, const ReLimits& limits = {});
 
 /// Definition 3.2: the problem `Rbar(Pi)` - same alphabets and `g` as

@@ -49,12 +49,11 @@ struct Reduction {
 /// faithful sequence computable for a few extra steps. The ablation bench
 /// `bench_re_ablation` quantifies the difference.
 ///
-/// `kernel` selects the implementation of the dominated-label pass, whose
-/// pair scan is quadratic in the alphabet (post-operator iterates routinely
-/// exceed 64 labels): any mask kernel resolves to the
-/// narrowest `LabelMaskW` tier covering the alphabet, `kGeneric` keeps the
-/// original ordered-set scan. Every choice drops the same labels in the
-/// same order - `test_re_kernel_parity`'s boundary battery fences that.
+/// The dominated-label pass is quadratic in the alphabet (post-operator
+/// iterates routinely exceed 64 labels), so it compares partner sets as
+/// `ceil(n / 64)` raw words per label, with the width worked out at run
+/// time. The `ReKernel` parameter selects nothing; it stays for callers that
+/// still pass `ReLimits::kernel` (see `ReKernel`).
 ///
 /// `problem` is taken by value so callers that are done with it (such as
 /// `reduce_step`) move it in instead of paying for a copy of an iterate
@@ -65,7 +64,8 @@ Reduction reduce(NodeEdgeCheckableLcl problem,
 /// Composes an operator step with a label reduction: the reduced problem's
 /// label `l` means whatever the representative pre-reduction label meant.
 /// This is how the engine (and the fuzzer's differential oracles) keep the
-/// sequence computable while preserving the Lemma 3.9 lifting data.
+/// sequence computable while preserving the Lemma 3.9 lifting data. The
+/// `ReKernel` parameter selects nothing, as for `reduce`.
 ReStep reduce_step(ReStep step, ReKernel kernel = ReKernel::kAuto);
 
 }  // namespace lcl

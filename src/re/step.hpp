@@ -31,50 +31,22 @@ class ReBlowupError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Which enumeration implementation the operators run on. Both produce
-/// constraint-identical problems (fenced by `test_re_kernel_parity`); they
-/// differ only in speed.
+/// Selects nothing: round elimination has one implementation per operation
+/// (the operator fill in `re/kernel.hpp`, the dominated-label scan in
+/// `re/reduce.cpp`). The type stays only because the benchmark harness under
+/// `perfbench/` passes `ReLimits::kernel` to `reduce_step`; it goes once
+/// that caller stops.
 enum class ReKernel {
-  /// Narrowest mask tier that fits the alphabet at hand: one word for the
-  /// operators' base alphabets (the alphabet guard rejects bases >= 63
-  /// before enumeration), and for the per-iterate passes (`reduce`'s
-  /// dominated-label elimination, whose alphabets are the operators'
-  /// 2^base - 1 sized outputs) the `LabelMaskW<W>` tier with
-  /// 64 * W >= labels - W in {1, 2, 4, 8}, so alphabets up to 512 labels
-  /// stay on mask kernels. Beyond 512 labels the pass falls back to the
-  /// generic path and says so: the `re.kernel_fallback` counter and a
-  /// `re/kernel_fallback` event record the (previously silent) slowdown.
   kAuto,
-  /// The original ordered-container enumeration over `LabelSet`s - kept as
-  /// the ablation baseline (`bench_re_ablation`'s old-kernel columns) and
-  /// as the fallback for alphabets beyond the widest mask tier.
-  kGeneric,
-  /// Dense single-word `LabelMask` kernels: derived label `i` *is* the mask
-  /// `i + 1`, support tests are popcounts/ANDs, power sets are subset
-  /// walks, and node-configuration membership goes through a packed
-  /// canonical-form memo. Throws `std::invalid_argument` if the base
-  /// alphabet exceeds 64 labels (unreachable through the public operators).
-  kMask,
-  /// Forced multi-word tiers: the same kernels instantiated over
-  /// `LabelMaskW<2>`/`<4>`/`<8>` words. Functionally identical to `kMask`
-  /// on alphabets that fit fewer words (the upper words are zero) - that
-  /// redundancy is exactly what the parity battery exploits to fence the
-  /// word-seam arithmetic. `kAuto` picks these tiers on its own when an
-  /// iterate's alphabet genuinely needs them.
-  kMask2,
-  kMask4,
-  kMask8,
 };
 
-/// Enumeration budgets (and kernel choice) for the operators.
+/// Enumeration budgets and parallelism for the operators.
 struct ReLimits {
   /// Maximum size of the derived output alphabet (before reduction).
   std::size_t max_labels = 4096;
   /// Maximum number of candidate configurations examined per constraint.
   std::uint64_t max_configs = 4'000'000;
-  /// Implementation selector; rides along with the budgets so that every
-  /// caller threading `ReLimits` (engine, batch surveys, fuzz oracles)
-  /// picks the kernel up transparently.
+  /// Selects nothing (see `ReKernel`).
   ReKernel kernel = ReKernel::kAuto;
   /// Worker threads for the operators' outer configuration enumeration
   /// (node-constraint multiset walk and edge-constraint rows). 1 = run

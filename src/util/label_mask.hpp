@@ -16,16 +16,14 @@ namespace lcl {
 /// A set of labels over a fixed finite universe of at most `64 * W` labels,
 /// packed into `W` `uint64_t` words held inline (no heap allocation).
 ///
-/// `LabelMaskW` is the dense kernel representation behind the
-/// round-elimination hot paths, generalized past the historical single-word
-/// ceiling: the output alphabet of `R(Pi)` (Definition 3.1) is the power set
-/// of `Sigma_out(Pi)`, and the per-iterate passes (reduce's dominated-label
-/// elimination, node-configuration memos, cache signatures) operate over
-/// iterate alphabets that routinely outgrow 64 labels. The word count is a
-/// compile-time *tier* (W in {1, 2, 4, 8}, alphabets up to 512 labels), so
-/// every loop below is a fixed-trip word-parallel AND/OR/ANDNOT the
-/// compiler unrolls and vectorizes; `kAuto` callers pick the narrowest tier
-/// that fits (see `re_kernel::mask_tier_words`).
+/// `LabelMask` (`W = 1`) is the dense representation behind the
+/// round-elimination operator fill: the output alphabet of `R(Pi)`
+/// (Definition 3.1) is the power set of `Sigma_out(Pi)`, and derived label
+/// `i` is the base-label mask `i + 1`. The word count is a compile-time
+/// parameter (W in {1, 2, 4, 8}, alphabets up to 512 labels), so every loop
+/// below is a fixed-trip word-parallel AND/OR/ANDNOT the compiler unrolls
+/// and vectorizes. Only `W = 1` has a production user; the wider
+/// instantiations are exercised by `test_util_label_mask_w`.
 ///
 /// `LabelSet` remains the general representation for unbounded universes;
 /// the two agree operation-for-operation on every shared universe (fenced

@@ -4,7 +4,9 @@
 // benches can check and time the production `reduce()` against them. The
 // merge pass here rebuilds every label's signature by rescanning all node
 // configurations and copying each context into an ordered set; production
-// builds the same signatures in one pass over the configurations.
+// builds the same signatures in one pass over the configurations. The
+// dominated-label scan here is the original `LabelSet` pair search;
+// production compares raw partner words.
 
 #include "reference/reduce_reference.hpp"
 
@@ -19,7 +21,6 @@
 #include "batch/survey.hpp"
 #include "re/kernel.hpp"
 #include "re/operators.hpp"
-#include "util/label_mask.hpp"
 #include "util/label_set.hpp"
 
 namespace lcl::reference {
@@ -254,77 +255,6 @@ bool find_dominated_generic(const NodeEdgeCheckableLcl& p, Label& out_a,
   return false;
 }
 
-/// Masked domination scan: identical pair order and verdicts to the generic
-/// scan (the parity battery fences this), but with the per-pair work done on
-/// precomputed dense structures - `LabelMaskW<W>` partner masks (the subset
-/// test is W ANDNOT words instead of an ordered-set walk), `LabelSet`
-/// g-preimages over the input alphabet, and per-label occurrence lists so a
-/// `dominated_by(a, b)` probe touches only the configurations that actually
-/// contain `a`. This is the pass where the multi-word tiers genuinely fire:
-/// operator iterates carry 2^base - 1 labels, so alphabets of 65..512 labels
-/// are the common case right after a step.
-template <std::size_t W>
-bool find_dominated_masked(const NodeEdgeCheckableLcl& p, Label& out_a,
-                           Label& out_b) {
-  const std::size_t n = p.output_alphabet().size();
-  const NodeConfigIndex config_index(p);
-
-  std::vector<LabelMaskW<W>> partners;
-  partners.reserve(n);
-  for (Label l = 0; l < n; ++l) {
-    partners.push_back(LabelMaskW<W>::from_label_set(p.edge_partners(l)));
-  }
-
-  const std::size_t inputs = p.input_alphabet().size();
-  std::vector<LabelSet> g_preimage(n, LabelSet(inputs));
-  for (Label in = 0; in < inputs; ++in) {
-    for (const auto l : p.allowed_outputs(in).to_vector()) {
-      g_preimage[l].insert(in);
-    }
-  }
-
-  // occurrences[l] = the node configurations containing l (each once, even
-  // when l occurs multiple times - replacing any one occurrence yields the
-  // same multiset after sorting).
-  std::vector<std::vector<const Configuration*>> occurrences(n);
-  for (int d = 1; d <= p.max_degree(); ++d) {
-    for (const auto& c : p.node_configs(d)) {
-      const auto& labels = c.labels();
-      for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (i > 0 && labels[i] == labels[i - 1]) continue;  // sorted: dedup
-        occurrences[labels[i]].push_back(&c);
-      }
-    }
-  }
-
-  std::vector<Label> replaced;
-  const auto dominated_by = [&](Label a, Label b) {
-    if (!partners[a].is_subset_of(partners[b])) return false;
-    if (!g_preimage[a].is_subset_of(g_preimage[b])) return false;
-    for (const Configuration* c : occurrences[a]) {
-      replaced.assign(c->labels().begin(), c->labels().end());
-      *std::find(replaced.begin(), replaced.end(), a) = b;
-      std::sort(replaced.begin(), replaced.end());
-      if (!config_index.allows_sorted(replaced.data(), replaced.size())) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  for (Label a = 0; a < n; ++a) {
-    for (Label b = 0; b < n; ++b) {
-      if (a == b) continue;
-      if (!dominated_by(a, b)) continue;
-      if (dominated_by(b, a) && b > a) continue;  // tie: keep the smaller
-      out_a = a;
-      out_b = b;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One dominated-label elimination pass; returns false if nothing dropped.
 ///
 /// Label `a` is dominated by `b != a` when
@@ -339,45 +269,15 @@ bool find_dominated_masked(const NodeEdgeCheckableLcl& p, Label& out_a,
 /// so dropping `a` preserves solvability and 0-round solvability. This is
 /// the classic "non-maximal label" simplification of round-elimination
 /// practice that the paper's Definition 3.1 deliberately does not apply.
-///
-/// `kernel` picks the scan implementation: `kGeneric` runs the original
-/// `LabelSet` scan; everything else resolves to the narrowest `LabelMaskW`
-/// tier covering the alphabet (a forced tier acts as a floor). When no tier
-/// fits (> 512 labels) the pass falls back to the generic scan and says so
-/// through the `re.kernel_fallback` counter and a `re/kernel_fallback`
-/// event - previously this slowdown was silent.
 bool drop_dominated_once(NodeEdgeCheckableLcl& p,
                          std::vector<Label>& global_map,
-                         std::vector<Label>& reps, ReKernel kernel) {
+                         std::vector<Label>& reps) {
   const std::size_t n = p.output_alphabet().size();
   if (n < 2 || n > 4096) return false;  // quadratic pass: cap the size
 
   Label a = 0;
   Label b = 0;
-  bool found = false;
-  std::size_t words = 0;
-  if (kernel != ReKernel::kGeneric) {
-    words = std::max(re_kernel::mask_tier_words(n),
-                     re_kernel::forced_tier_words(kernel));
-  }
-  switch (words) {
-    case 1:
-      found = find_dominated_masked<1>(p, a, b);
-      break;
-    case 2:
-      found = find_dominated_masked<2>(p, a, b);
-      break;
-    case 4:
-      found = find_dominated_masked<4>(p, a, b);
-      break;
-    case 8:
-      found = find_dominated_masked<8>(p, a, b);
-      break;
-    default:
-      found = find_dominated_generic(p, a, b);
-      break;
-  }
-  if (!found) return false;
+  if (!find_dominated_generic(p, a, b)) return false;
 
   std::vector<Label> old_to_new(n, Reduction::kDropped);
   std::vector<Label> new_to_old;
@@ -403,7 +303,7 @@ bool drop_dominated_once(NodeEdgeCheckableLcl& p,
 
 }  // namespace
 
-Reduction reduce(NodeEdgeCheckableLcl problem, ReKernel kernel) {
+Reduction reduce(NodeEdgeCheckableLcl problem) {
   Reduction result;
   const std::size_t n = problem.output_alphabet().size();
   result.old_to_new.resize(n);
@@ -424,8 +324,7 @@ Reduction reduce(NodeEdgeCheckableLcl problem, ReKernel kernel) {
     changed = false;
     if (trim_once(result.problem, result.old_to_new, reps)) changed = true;
     if (merge_once(result.problem, result.old_to_new, reps)) changed = true;
-    if (drop_dominated_once(result.problem, result.old_to_new, reps,
-                            kernel)) {
+    if (drop_dominated_once(result.problem, result.old_to_new, reps)) {
       changed = true;
     }
   }

@@ -70,6 +70,40 @@ TEST(ConstraintSignature, NameInsensitiveContentSensitive) {
             constraint_signature(problems::two_coloring(2)));
 }
 
+/// A `labels`-label problem whose three inputs carry different, sparse `g`
+/// sets, so the signature's `g` section has non-trivial bits in every
+/// storage word.
+NodeEdgeCheckableLcl signature_probe(int labels) {
+  Alphabet out;
+  for (int l = 0; l < labels; ++l) out.add("s" + std::to_string(l));
+  NodeEdgeCheckableLcl::Builder b("probe", Alphabet({"a", "b", "c"}),
+                                  std::move(out), /*max_degree=*/2);
+  const auto n = static_cast<Label>(labels);
+  for (Label l = 0; l < n; ++l) {
+    b.allow_node({l});
+    b.allow_node({l, static_cast<Label>((l * 7 + 1) % n)});
+    b.allow_edge(l, static_cast<Label>((l + 1) % n));
+    b.allow_output_for_input(0, l);
+    if (l % 3 == 0) b.allow_output_for_input(1, l);
+    if (l % 5 == 1 || l + 1 == n) b.allow_output_for_input(2, l);
+  }
+  return b.build();
+}
+
+TEST(ConstraintSignature, PinnedAcrossAlphabetSizes) {
+  // On-disk cache tiers and canonical keys store these values, so they must
+  // never drift. 3 labels mix one g word per input, 96 and 300 labels mix
+  // two and five, and 516 labels (past 512) mix g label by label.
+  EXPECT_EQ(constraint_signature(signature_probe(3)),
+            0xF2B459DCAC057553ULL);
+  EXPECT_EQ(constraint_signature(signature_probe(96)),
+            0x2390BFC0E4C6938CULL);
+  EXPECT_EQ(constraint_signature(signature_probe(300)),
+            0xBCBD2F6FB6088752ULL);
+  EXPECT_EQ(constraint_signature(signature_probe(516)),
+            0x354DD974D2F6F436ULL);
+}
+
 TEST(BatchCache, StoresAndFindsByContent) {
   Cache cache;
   const auto mm = problems::maximal_matching(3);

@@ -195,6 +195,22 @@ TEST(FuzzRun, CleanBankHasNoFailuresAndTalliesAdd) {
   EXPECT_EQ(skipped, report.skipped);
 }
 
+TEST(FuzzRun, WideAlphabetLiftSoundnessChecksCases) {
+  // Wide-alphabet cases carry 64-130 labels around a small live core. The
+  // lift-soundness oracle derives from the pruned core, so these seeds must
+  // reach a verdict rather than all skip at the operators' alphabet guard.
+  FuzzRunOptions options;
+  options.seeds = 40;
+  options.only_oracle = "lift-soundness";
+  options.generator.wide_alphabets = true;
+  const auto report = run_fuzz(options);
+  EXPECT_EQ(report.failures, 0u)
+      << (report.failure_messages.empty() ? std::string()
+                                          : report.failure_messages.front());
+  ASSERT_EQ(report.per_oracle.count("lift-soundness"), 1u);
+  EXPECT_GT(report.per_oracle.at("lift-soundness").checks, 0u);
+}
+
 TEST(FuzzRun, UnknownOracleThrows) {
   FuzzCase c = random_case(GeneratorOptions{}, 1);
   c.oracle = "no-such-oracle";

@@ -1,100 +1,78 @@
+// Parity of the production round-elimination operators (`apply_r` /
+// `apply_rbar`, one-word mask fill) with the original `LabelSet`
+// enumeration in tests/reference: on every battery problem both must build
+// the same derived problem and refuse the same inputs with the same
+// messages, and the pool-partitioned fill must match the inline one.
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "batch/cache.hpp"
 #include "core/lcl.hpp"
 #include "core/problems.hpp"
-#include "obs/exporter.hpp"
-#include "obs/obs.hpp"
 #include "re/kernel.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
 #include "re/step.hpp"
+#include "reference/operators_reference.hpp"
 
 namespace lcl {
 namespace {
 
-ReLimits with_kernel(ReKernel kernel) {
-  ReLimits limits;
-  limits.kernel = kernel;
-  return limits;
-}
+using Operator = ReStep (*)(const NodeEdgeCheckableLcl&, const ReLimits&);
 
-/// Metrics collection is off by default; the fallback-counter fences flip
-/// it on for their scope (and restore the previous state on exit).
-class MetricsOn {
- public:
-  MetricsOn() : previous_(obs::metrics_enabled()) {
-    obs::set_metrics_enabled(true);
-  }
-  ~MetricsOn() { obs::set_metrics_enabled(previous_); }
-
- private:
-  bool previous_;
+struct OperatorPair {
+  const char* name;
+  Operator production;
+  Operator reference;
 };
 
-/// Every mask tier the battery compares against the generic baseline. The
-/// wider tiers run the same fill with zero upper words on these bases -
-/// that redundancy is deliberate: a word-seam arithmetic slip shows up as a
-/// constraint difference here long before a 65+-label iterate hits it.
-const ReKernel kMaskTiers[] = {ReKernel::kMask, ReKernel::kMask2,
-                               ReKernel::kMask4, ReKernel::kAuto};
+const OperatorPair kOperators[] = {
+    {"R", &apply_r, &reference::apply_r_generic},
+    {"Rbar", &apply_rbar, &reference::apply_rbar_generic},
+};
 
-const char* tier_name(ReKernel k) {
-  switch (k) {
-    case ReKernel::kAuto:
-      return "kAuto";
-    case ReKernel::kGeneric:
-      return "kGeneric";
-    case ReKernel::kMask:
-      return "kMask";
-    case ReKernel::kMask2:
-      return "kMask2";
-    case ReKernel::kMask4:
-      return "kMask4";
-    case ReKernel::kMask8:
-      return "kMask8";
+/// Both derivations must agree on everything downstream code observes:
+/// alphabet names in order, constraints, `g`, meanings and the batch cache
+/// signature. The engine, batch surveys, lint preflight and fuzz oracles
+/// only ever see these objects, so byte-identical verdicts follow.
+void expect_same_step(const ReStep& expected, const ReStep& actual) {
+  ASSERT_EQ(expected.problem.output_alphabet().size(),
+            actual.problem.output_alphabet().size());
+  for (Label l = 0; l < expected.problem.output_alphabet().size(); ++l) {
+    ASSERT_EQ(expected.problem.output_alphabet().name(l),
+              actual.problem.output_alphabet().name(l));
   }
-  return "?";
+  EXPECT_TRUE(same_constraints(expected.problem, actual.problem));
+  EXPECT_EQ(expected.problem.name(), actual.problem.name());
+  ASSERT_EQ(expected.meaning.size(), actual.meaning.size());
+  for (std::size_t i = 0; i < expected.meaning.size(); ++i) {
+    EXPECT_EQ(expected.meaning[i], actual.meaning[i]) << "meaning " << i;
+  }
+  EXPECT_EQ(batch::constraint_signature(expected.problem),
+            batch::constraint_signature(actual.problem));
 }
 
-/// The parity fence of the kernel rewrite: on every battery problem, every
-/// mask tier and the original generic enumeration must build the *same*
-/// derived problem - same alphabet names in the same order, same
-/// constraints, same g, same meanings - for both operators. Anything the
-/// engine, batch surveys, lint preflight, or fuzz oracles observe is
-/// downstream of these objects, so byte-identical verdicts follow.
 void expect_kernels_agree(const NodeEdgeCheckableLcl& pi) {
-  for (const bool use_r : {true, false}) {
-    const auto apply = use_r ? &apply_r : &apply_rbar;
-    const ReStep generic = apply(pi, with_kernel(ReKernel::kGeneric));
-    for (const ReKernel tier : kMaskTiers) {
-      const ReStep mask = apply(pi, with_kernel(tier));
-      SCOPED_TRACE(pi.name() + (use_r ? " / R / " : " / Rbar / ") +
-                   tier_name(tier));
-
-      ASSERT_EQ(generic.problem.output_alphabet().size(),
-                mask.problem.output_alphabet().size());
-      for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
-        ASSERT_EQ(generic.problem.output_alphabet().name(l),
-                  mask.problem.output_alphabet().name(l));
-      }
-      EXPECT_TRUE(same_constraints(generic.problem, mask.problem));
-      EXPECT_EQ(generic.problem.name(), mask.problem.name());
-      ASSERT_EQ(generic.meaning.size(), mask.meaning.size());
-      for (std::size_t i = 0; i < generic.meaning.size(); ++i) {
-        EXPECT_EQ(generic.meaning[i], mask.meaning[i]) << "meaning " << i;
-      }
-      EXPECT_EQ(batch::constraint_signature(generic.problem),
-                batch::constraint_signature(mask.problem));
-    }
+  for (const auto& op : kOperators) {
+    SCOPED_TRACE(pi.name() + " / " + op.name);
+    expect_same_step(op.reference(pi, ReLimits{}),
+                     op.production(pi, ReLimits{}));
   }
+}
+
+/// The message `op` throws as a `ReBlowupError` on `pi`, or "" if it throws
+/// none.
+std::string blowup_message(Operator op, const NodeEdgeCheckableLcl& pi) {
+  try {
+    op(pi, ReLimits{});
+  } catch (const ReBlowupError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(ReKernelParity, BatteryProblemsDeriveIdentically) {
@@ -111,11 +89,11 @@ TEST(ReKernelParity, BatteryProblemsDeriveIdentically) {
 }
 
 // One iterate deep: parity must survive composition, i.e. hold on problems
-// that are themselves kernel outputs (reduced, as the engine runs them).
+// that are themselves operator outputs (reduced, as the engine runs them).
 TEST(ReKernelParity, HoldsOnReducedFirstIterates) {
   for (const auto& seed :
        {problems::coloring(3, 3), problems::sinkless_orientation(3)}) {
-    ReStep step = apply_r(seed, with_kernel(ReKernel::kGeneric));
+    ReStep step = reference::apply_r_generic(seed);
     const Reduction reduced = reduce(step.problem);
     expect_kernels_agree(reduced.problem);
   }
@@ -123,156 +101,22 @@ TEST(ReKernelParity, HoldsOnReducedFirstIterates) {
 
 TEST(ReKernelParity, BlowupErrorsMatchAcrossKernels) {
   // 13 output labels -> 2^13 - 1 = 8191 derived labels > max_labels = 4096:
-  // every kernel must refuse identically (the guard runs pre-dispatch), so
-  // ReLimits blow-up diagnostics never depend on the tier in use.
+  // both enumerations must refuse with the same message.
   const auto big = problems::coloring(13, 2);
-  std::string generic_message;
-  try {
-    apply_r(big, with_kernel(ReKernel::kGeneric));
-    FAIL() << "expected ReBlowupError";
-  } catch (const ReBlowupError& e) {
-    generic_message = e.what();
-  }
-  EXPECT_FALSE(generic_message.empty());
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(tier_name(tier));
-    std::string mask_message;
-    try {
-      apply_r(big, with_kernel(tier));
-      FAIL() << "expected ReBlowupError";
-    } catch (const ReBlowupError& e) {
-      mask_message = e.what();
-    }
-    EXPECT_EQ(generic_message, mask_message);
-  }
+  const std::string expected = blowup_message(&reference::apply_r_generic, big);
+  EXPECT_NE(expected.find("derived alphabet"), std::string::npos);
+  EXPECT_EQ(blowup_message(&apply_r, big), expected);
 }
 
 TEST(ReKernelParity, ConfigBlowupErrorsMatchAcrossKernels) {
   // A base that passes the alphabet guard but trips the configuration-count
   // guard: 11 labels at degree 3 -> 2047 derived labels, ~1.4e9 candidate
-  // multisets > max_configs. The counting happens pre-dispatch too.
+  // multisets > max_configs.
   const auto big = problems::coloring(11, 3);
-  std::string generic_message;
-  try {
-    apply_rbar(big, with_kernel(ReKernel::kGeneric));
-    FAIL() << "expected ReBlowupError";
-  } catch (const ReBlowupError& e) {
-    generic_message = e.what();
-  }
-  EXPECT_NE(generic_message.find("candidate configurations"),
-            std::string::npos);
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(tier_name(tier));
-    std::string mask_message;
-    try {
-      apply_rbar(big, with_kernel(tier));
-      FAIL() << "expected ReBlowupError";
-    } catch (const ReBlowupError& e) {
-      mask_message = e.what();
-    }
-    EXPECT_EQ(generic_message, mask_message);
-  }
-}
-
-/// Reduction parity on a wide-alphabet problem: every kernel choice must
-/// drop/merge exactly the same labels in the same order - the maps record
-/// the full history, so comparing them fences the scan order, not just the
-/// fixed point.
-void expect_reduce_parity(const NodeEdgeCheckableLcl& p) {
-  const Reduction generic = reduce(p, ReKernel::kGeneric);
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(p.name() + " / " + tier_name(tier));
-    const Reduction masked = reduce(p, tier);
-    EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
-    ASSERT_EQ(generic.problem.output_alphabet().size(),
-              masked.problem.output_alphabet().size());
-    for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
-      EXPECT_EQ(generic.problem.output_alphabet().name(l),
-                masked.problem.output_alphabet().name(l));
-    }
-    EXPECT_EQ(generic.old_to_new, masked.old_to_new);
-    EXPECT_EQ(generic.new_to_old, masked.new_to_old);
-  }
-}
-
-TEST(ReKernelParity, ReduceAgreesOnWordBoundaryAlphabets) {
-  // threshold_band keeps the dominated-label pass firing across the whole
-  // alphabet, so reducing a 65..129-label instance walks the pass through
-  // every intermediate size - every mask tier transition included. The
-  // sizes bracket both word seams of the 1->2 and 2->4 tier boundaries.
-  for (const int labels : {63, 64, 65, 127, 128, 129}) {
-    expect_reduce_parity(problems::threshold_band(labels, 8));
-  }
-}
-
-TEST(ReKernelParity, WideIterateStaysOnMaskTiersUnderAuto) {
-  // The acceptance case of the multi-word lift: a 7-label base derives a
-  // 2^7 - 1 = 127-label iterate; reducing it under kAuto must run entirely
-  // on mask tiers (no re.kernel_fallback increment) and agree with the
-  // generic scan byte for byte. Degree 1 keeps the (many) dominated-label
-  // cascades cheap while still walking the pass through every alphabet
-  // size from 127 down across the 64-label seam.
-  const auto base = problems::coloring(7, 1);
-  ReStep step = apply_r(base, with_kernel(ReKernel::kAuto));
-  ASSERT_EQ(step.problem.output_alphabet().size(), 127u);
-
-  const MetricsOn metrics;
-  const std::uint64_t fallbacks_before =
-      obs::registry().counter("re.kernel_fallback").value();
-  const Reduction masked = reduce(step.problem, ReKernel::kAuto);
-  EXPECT_EQ(obs::registry().counter("re.kernel_fallback").value(),
-            fallbacks_before)
-      << "a 127-label iterate must fit the 2-word tier, not fall back";
-
-  const Reduction generic = reduce(step.problem, ReKernel::kGeneric);
-  EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
-  EXPECT_EQ(generic.old_to_new, masked.old_to_new);
-  EXPECT_EQ(generic.new_to_old, masked.new_to_old);
-  EXPECT_EQ(batch::constraint_signature(generic.problem),
-            batch::constraint_signature(masked.problem));
-}
-
-TEST(ReKernelParity, KernelFallbackPastWidestTierIsCountedAndSound) {
-  // 516 labels > the widest (8-word, 512-label) tier: the dominated pass
-  // must fall back to the generic scan, say so through re.kernel_fallback,
-  // and still produce the generic result. Degree-1 band problem so the
-  // cascade of drops stays cheap.
-  constexpr int kLabels = 516;
-  NodeEdgeCheckableLcl::Builder b("wide-band", Alphabet({"-"}),
-                                  [] {
-                                    Alphabet out;
-                                    for (int l = 0; l < kLabels; ++l) {
-                                      std::ostringstream os;
-                                      os << 'w' << l;
-                                      out.add(os.str());
-                                    }
-                                    return out;
-                                  }(),
-                                  /*max_degree=*/1);
-  for (Label l = 0; l < kLabels; ++l) {
-    b.allow_node({l});
-    for (Label p = l; p < std::min<Label>(kLabels, l + 9); ++p) {
-      b.allow_edge(l, p);
-    }
-  }
-  b.unrestricted_inputs();
-  const auto wide = b.build();
-
-  const MetricsOn metrics;
-  const std::uint64_t fallbacks_before =
-      obs::registry().counter("re.kernel_fallback").value();
-  const Reduction masked = reduce(wide, ReKernel::kAuto);
-  if (obs::telemetry_compiled_in()) {  // counters are no-ops under LCL_OBS=0
-    EXPECT_GT(obs::registry().counter("re.kernel_fallback").value(),
-              fallbacks_before)
-        << "a 516-label alphabet outgrows every mask tier - the generic "
-           "fallback must be recorded, not silent";
-  }
-
-  const Reduction generic = reduce(wide, ReKernel::kGeneric);
-  EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
-  EXPECT_EQ(generic.old_to_new, masked.old_to_new);
-  EXPECT_EQ(generic.new_to_old, masked.new_to_old);
+  const std::string expected =
+      blowup_message(&reference::apply_rbar_generic, big);
+  EXPECT_NE(expected.find("candidate configurations"), std::string::npos);
+  EXPECT_EQ(blowup_message(&apply_rbar, big), expected);
 }
 
 TEST(ReKernelParity, ParallelEnumerationIsDeterministic) {
@@ -283,25 +127,16 @@ TEST(ReKernelParity, ParallelEnumerationIsDeterministic) {
   for (const auto& pi :
        {problems::coloring(5, 3), problems::sinkless_orientation(3),
         problems::mis(3), problems::forbidden_color(4, 2)}) {
-    for (const bool use_r : {true, false}) {
-      const auto apply = use_r ? &apply_r : &apply_rbar;
-      ReLimits serial = with_kernel(ReKernel::kMask);
+    for (const auto& op : kOperators) {
+      SCOPED_TRACE(pi.name() + " / " + op.name);
+      ReLimits serial;
       serial.jobs = 1;
-      ReLimits parallel = with_kernel(ReKernel::kMask);
+      ReLimits parallel;
       parallel.jobs = 4;
-      const ReStep one = apply(pi, serial);
-      const ReStep four = apply(pi, parallel);
-      SCOPED_TRACE(pi.name() + (use_r ? " / R" : " / Rbar"));
-      EXPECT_TRUE(same_constraints(one.problem, four.problem));
-      ASSERT_EQ(one.meaning.size(), four.meaning.size());
-      for (std::size_t i = 0; i < one.meaning.size(); ++i) {
-        EXPECT_EQ(one.meaning[i], four.meaning[i]);
-      }
-      EXPECT_EQ(batch::constraint_signature(one.problem),
-                batch::constraint_signature(four.problem));
-      // And the parallel result agrees with the generic baseline too.
-      const ReStep generic = apply(pi, with_kernel(ReKernel::kGeneric));
-      EXPECT_TRUE(same_constraints(generic.problem, four.problem));
+      const ReStep four = op.production(pi, parallel);
+      expect_same_step(op.production(pi, serial), four);
+      // And the parallel result agrees with the reference enumeration too.
+      expect_same_step(op.reference(pi, ReLimits{}), four);
     }
   }
 }
