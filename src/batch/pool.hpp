@@ -74,6 +74,9 @@ class Pool {
   }
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
+  /// Tasks run to completion. A worker counts a task only after its future
+  /// became ready, so the count can lag ready futures; it covers every
+  /// finished task once `wait_idle()` returns.
   std::uint64_t tasks_completed() const noexcept {
     return completed_.load(std::memory_order_relaxed);
   }

@@ -123,19 +123,9 @@ NodeEdgeCheckableLcl speedup_step_cached(const NodeEdgeCheckableLcl& current,
 }
 
 /// The speedup-synthesis certificate the survey records per problem: the
-/// observable outcome of `SpeedupEngine::run`, without the lifting data the
-/// survey does not consume.
-struct EngineSummary {
-  int zero_round_step = -1;
-  int steps_applied = 0;
-  bool fixed_point = false;
-  bool budget_exhausted = false;
-  bool detected_unsolvable = false;
-  std::size_t preflight_dead_labels = 0;
-  std::string message;
-};
-
-json::Value summary_to_json(const EngineSummary& s) {
+/// observable outcome of `SpeedupEngine::run`'s walk, without the lifting
+/// data the survey does not consume.
+json::Value summary_to_json(const WalkOutcome& s) {
   json::Value value = json::Value::make_object();
   auto& object = value.object();
   object["zero_round_step"] =
@@ -151,8 +141,8 @@ json::Value summary_to_json(const EngineSummary& s) {
   return value;
 }
 
-EngineSummary summary_from_json(const json::Value& value) {
-  EngineSummary s;
+WalkOutcome summary_from_json(const json::Value& value) {
+  WalkOutcome s;
   const auto read_int = [&value](const char* key, auto& out) {
     if (const auto* v = value.find(key); v != nullptr && v->is_number()) {
       out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_int());
@@ -183,64 +173,6 @@ std::string engine_kind(const SpeedupEngine::Options& options) {
          (options.reduce ? ":r" : ":f");
 }
 
-/// `SpeedupEngine::run` semantics, re-expressed over the result cache: on a
-/// miss of the whole-run summary (looked up by the caller under
-/// `engine_kind`) the walk reads `chain`, whose iterates flow through the
-/// shared step cache - so two different base problems whose sequences
-/// merge (common after reduction) never recompute the shared tail - and
-/// every 0-round verdict through the "zr:" cache.
-EngineSummary walk_speedup(IterateChain& chain,
-                           const SpeedupEngine::Options& options,
-                           Cache* cache) {
-  EngineSummary s;
-  if (options.preflight_lint) {
-    const auto& preflight = chain.preflight();
-    s.preflight_dead_labels = preflight.report.dead_labels;
-    if (preflight.report.trivially_unsolvable) {
-      s.detected_unsolvable = true;
-      s.message = "preflight lint (L020): the pruned constraint set is empty";
-      return s;
-    }
-  }
-  if (zero_round_cached(chain.at(0), options.degrees, cache)) {
-    s.zero_round_step = 0;
-    return s;
-  }
-  std::uint64_t current_signature = constraint_signature(chain.at(0));
-  for (int step = 0; step < options.max_steps; ++step) {
-    const NodeEdgeCheckableLcl* next = nullptr;
-    try {
-      next = &chain.at(static_cast<std::size_t>(step) + 1);
-    } catch (const ReBlowupError& e) {
-      s.budget_exhausted = true;
-      s.message = e.what();
-      return s;
-    } catch (const std::runtime_error& e) {
-      // reduce() trimmed every output label: unsolvable on any graph with
-      // an edge (same interpretation as SpeedupEngine::run).
-      s.detected_unsolvable = true;
-      s.message = e.what();
-      return s;
-    }
-    s.steps_applied = step + 1;
-    if (zero_round_cached(*next, options.degrees, cache)) {
-      s.zero_round_step = step + 1;
-      return s;
-    }
-    const NodeEdgeCheckableLcl& current =
-        chain.at(static_cast<std::size_t>(step));
-    const std::uint64_t next_signature = constraint_signature(*next);
-    if (next_signature == current_signature &&
-        (same_constraints(*next, current) ||
-         isomorphic_constraints(*next, current))) {
-      s.fixed_point = true;
-      return s;
-    }
-    current_signature = next_signature;
-  }
-  return s;
-}
-
 bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
   return problem.input_alphabet().size() == 1 && problem.max_degree() >= 2;
 }
@@ -250,7 +182,7 @@ bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
 /// without adding step-cache traffic. That holds when both walk the same
 /// sequence (pruned base, reduction on, the classifiers' default limits)
 /// and the engine stops no earlier: it has at least the classifiers' step
-/// budget, its fixed-point test implies theirs, and its degree set
+/// budget, the same fixed-point test (one `walk`), and its degree set
 /// contains {1, 2} - a 0-round algorithm for a degree set also answers
 /// every subset, so an iterate that stops the engine stops both probes.
 bool classifiers_share_engine_chain(const SurveyOptions& options) {
@@ -362,11 +294,19 @@ ProblemOutcome survey_one(const FamilyMember& member,
       }
     }
 
-    EngineSummary summary;
+    // On a miss of the whole-run summary the walk reads `engine_chain`,
+    // whose iterates flow through the shared step cache - so two base
+    // problems whose sequences merge (common after reduction) never
+    // recompute the shared tail - and every 0-round verdict through the
+    // "zr:" cache.
+    WalkOutcome summary;
     if (engine_hit) {
       summary = summary_from_json(*engine_hit);
     } else {
-      summary = walk_speedup(engine_chain, engine, cache);
+      summary = walk(engine_chain, engine.max_steps,
+                     [&engine, cache](const NodeEdgeCheckableLcl& p) {
+                       return zero_round_cached(p, engine.degrees, cache);
+                     });
       cache_put(cache, engine_key, problem, summary_to_json(summary), form);
     }
     out.zero_round_step = summary.zero_round_step;

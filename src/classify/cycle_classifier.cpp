@@ -7,6 +7,7 @@
 #include "core/configuration.hpp"
 #include "obs/obs.hpp"
 #include "re/chain.hpp"
+#include "re/zero_round.hpp"
 
 namespace lcl {
 
@@ -114,7 +115,9 @@ CycleClassification classify_on_cycles(IterateChain& chain,
   // Flexible: O(1) or Theta(log* n). The round-elimination sequence
   // semidecides O(1) (Theorem 3.10 machinery restricted to degree 2).
   result.zero_round_collapse_step =
-      zero_round_collapse_step(chain, {2}, max_speedup_steps);
+      walk(chain, max_speedup_steps, [](const NodeEdgeCheckableLcl& p) {
+        return zero_round_solvable(p, {2});
+      }).zero_round_step;
   result.complexity = result.zero_round_collapse_step >= 0
                           ? CycleComplexity::kConstant
                           : CycleComplexity::kLogStar;

@@ -9,6 +9,7 @@
 #include "core/configuration.hpp"
 #include "obs/obs.hpp"
 #include "re/chain.hpp"
+#include "re/zero_round.hpp"
 #include "util/label_set.hpp"
 
 namespace lcl {
@@ -191,7 +192,9 @@ PathClassification classify_on_paths(IterateChain& chain,
   }
 
   result.zero_round_collapse_step =
-      zero_round_collapse_step(chain, {1, 2}, max_speedup_steps);
+      walk(chain, max_speedup_steps, [](const NodeEdgeCheckableLcl& p) {
+        return zero_round_solvable(p, {1, 2});
+      }).zero_round_step;
   result.complexity = result.zero_round_collapse_step >= 0
                           ? CycleComplexity::kConstant
                           : CycleComplexity::kLogStar;

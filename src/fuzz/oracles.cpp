@@ -189,9 +189,9 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
 }
 
 /// Oracle (b): what the speedup engine certifies must hold on the concrete
-/// instance - a synthesized constant-round algorithm produces
-/// checker-correct solutions on forests; an unsolvability verdict agrees
-/// with brute force.
+/// instance - no reduced iterate keeps a dead label, a synthesized
+/// constant-round algorithm produces checker-correct solutions on forests,
+/// and an unsolvability verdict agrees with brute force.
 OracleResult oracle_synthesis(const FuzzCase& c, const OracleOptions& o) {
   OracleResult r;
   if (!c.graph.is_forest() || c.graph.edge_count() == 0 ||
@@ -216,6 +216,20 @@ OracleResult oracle_synthesis(const FuzzCase& c, const OracleOptions& o) {
   }
 
   r.applicable = true;
+  // reduce()'s trim runs the same support fixpoint as lint's dead-label
+  // pass, so no reduced iterate may keep a dead label.
+  lint::LintOptions lint_options;
+  lint_options.zero_round = false;
+  for (std::size_t i = 1; i <= engine.steps_applied(); ++i) {
+    const auto dead =
+        lint::lint_problem(engine.problem_at(i), lint_options).dead_labels;
+    if (dead > 0) {
+      r.failed = true;
+      r.message = "reduced iterate " + std::to_string(i) + " keeps " +
+                  std::to_string(dead) + " dead label(s)";
+      return r;
+    }
+  }
   if (outcome.zero_round_step >= 0) {
     const auto algorithm = engine.synthesize();
     const auto ids = sequential_ids(c.graph);

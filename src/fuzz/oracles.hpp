@@ -53,9 +53,10 @@ struct OracleEntry {
 ///  - "lift-soundness":    solvability of `pi` and `Rbar(R(pi))` must agree
 ///    on the instance, and every `Rbar(R(pi))` solution must lift to a
 ///    correct `pi` solution via Lemma 3.9;
-///  - "synthesis":         a constant-round algorithm synthesized by the
-///    speedup engine must produce checker-correct solutions on forests, and
-///    an unsolvability verdict must match the brute-force reference;
+///  - "synthesis":         no reduced iterate of the speedup engine may keep
+///    a dead label, a constant-round algorithm it synthesizes must produce
+///    checker-correct solutions on forests, and an unsolvability verdict
+///    must match the brute-force reference;
 ///  - "classifier-lengths": the path/cycle walk-automaton solvability
 ///    verdicts must match brute force on a sweep of lengths;
 ///  - "cross-model":       the LOCAL and VOLUME implementations of the same

@@ -5,7 +5,6 @@
 
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
-#include "re/zero_round.hpp"
 
 namespace lcl {
 
@@ -22,14 +21,19 @@ std::vector<std::size_t> count_signature(const NodeEdgeCheckableLcl& p) {
 
 }  // namespace
 
+SequenceLevel speedup_level(const NodeEdgeCheckableLcl& current,
+                            const ReLimits& limits, bool reduce_labels) {
+  SequenceLevel level{apply_r(current, limits), {}};
+  if (reduce_labels) level.psi = reduce_step(std::move(level.psi));
+  level.next = apply_rbar(level.psi.problem, limits);
+  if (reduce_labels) level.next = reduce_step(std::move(level.next));
+  return level;
+}
+
 NodeEdgeCheckableLcl speedup_iterate(const NodeEdgeCheckableLcl& current,
                                      const ReLimits& limits,
                                      bool reduce_labels) {
-  ReStep psi = apply_r(current, limits);
-  if (reduce_labels) psi = reduce_step(std::move(psi));
-  ReStep next = apply_rbar(psi.problem, limits);
-  if (reduce_labels) next = reduce_step(std::move(next));
-  return std::move(next.problem);
+  return std::move(speedup_level(current, limits, reduce_labels).next.problem);
 }
 
 bool is_fixed_point(const NodeEdgeCheckableLcl& next,
@@ -41,6 +45,17 @@ bool is_fixed_point(const NodeEdgeCheckableLcl& next,
 
 IterateChain::IterateChain(const NodeEdgeCheckableLcl& base, Step step,
                            bool prune)
+    : IterateChain(base,
+                   LevelStep([step = std::move(step)](
+                                 const NodeEdgeCheckableLcl& current) {
+                     SequenceLevel level;
+                     level.next.problem = step(current);
+                     return level;
+                   }),
+                   prune) {}
+
+IterateChain::IterateChain(const NodeEdgeCheckableLcl& base, LevelStep step,
+                           bool prune)
     : base_(base), step_(std::move(step)), prune_(prune) {}
 
 IterateChain::IterateChain(const NodeEdgeCheckableLcl& base, ReLimits limits)
@@ -48,7 +63,7 @@ IterateChain::IterateChain(const NodeEdgeCheckableLcl& base, ReLimits limits)
         return speedup_iterate(current, limits);
       }) {}
 
-const lint::PrunedProblem& IterateChain::preflight() {
+const lint::PrunedProblem& IterateChain::preflight() const {
   if (!preflight_) {
     lint::LintOptions options;
     options.zero_round = false;
@@ -66,39 +81,65 @@ const NodeEdgeCheckableLcl& IterateChain::at(std::size_t i) {
           "IterateChain: the pre-flight found the problem trivially "
           "unsolvable; there is no sequence to walk");
     }
-    return pruned.problem;
+    return pruned.changed ? pruned.problem : base_;
   }
-  while (iterates_.size() < i) {
+  while (levels_.size() < i) {
     if (failure_) std::rethrow_exception(failure_);
-    const NodeEdgeCheckableLcl& current = at(iterates_.size());
+    const NodeEdgeCheckableLcl& current = at(levels_.size());
     try {
-      iterates_.push_back(step_(current));
+      levels_.push_back(step_(current));
     } catch (...) {
       failure_ = std::current_exception();
       throw;
     }
   }
-  return iterates_[i - 1];
+  return levels_[i - 1].next.problem;
 }
 
-int zero_round_collapse_step(IterateChain& chain,
-                             const std::vector<int>& degrees, int max_steps) {
-  if (zero_round_solvable(chain.at(0), degrees)) return 0;
+WalkOutcome walk(
+    IterateChain& chain, int max_steps,
+    const std::function<bool(const NodeEdgeCheckableLcl&)>& zero_round) {
+  WalkOutcome outcome;
+  if (chain.prunes()) {
+    const auto& preflight = chain.preflight();
+    outcome.preflight_dead_labels = preflight.report.dead_labels;
+    if (preflight.report.trivially_unsolvable) {
+      outcome.detected_unsolvable = true;
+      outcome.message =
+          "preflight lint (L020): the pruned constraint set is empty";
+      return outcome;
+    }
+  }
+  if (zero_round(chain.at(0))) {
+    outcome.zero_round_step = 0;
+    return outcome;
+  }
   for (int step = 1; step <= max_steps; ++step) {
     const NodeEdgeCheckableLcl* next = nullptr;
     try {
       next = &chain.at(static_cast<std::size_t>(step));
-    } catch (const std::runtime_error&) {
-      // An enumeration blow-up (ReBlowupError) or reduction trimming every
-      // label: no collapse within reach, as in SpeedupEngine::run.
-      return -1;
+    } catch (const ReBlowupError& e) {
+      outcome.budget_exhausted = true;
+      outcome.message = e.what();
+      return outcome;
+    } catch (const std::runtime_error& e) {
+      // reduce() throws when no output label survives trimming: the
+      // problem admits no correct solution on any graph with an edge.
+      outcome.detected_unsolvable = true;
+      outcome.message = e.what();
+      return outcome;
     }
-    if (zero_round_solvable(*next, degrees)) return step;
+    outcome.steps_applied = step;
+    if (zero_round(*next)) {
+      outcome.zero_round_step = step;
+      return outcome;
+    }
     if (is_fixed_point(*next, chain.at(static_cast<std::size_t>(step - 1)))) {
-      return -1;
+      outcome.fixed_point = true;
+      return outcome;
     }
   }
-  return -1;
+  return outcome;
 }
 
 }  // namespace lcl

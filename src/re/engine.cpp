@@ -1,17 +1,12 @@
 #include "re/engine.hpp"
 
-#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "lint/analyzer.hpp"
 #include "lint/canonical.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
-#include "re/chain.hpp"
-#include "re/operators.hpp"
-#include "re/reduce.hpp"
 
 namespace lcl {
 
@@ -22,21 +17,23 @@ namespace {
 /// the lift at every node within the radius-k view.
 class SynthesizedAlgorithm final : public BallAlgorithm {
  public:
-  /// `base` is the problem the levels actually lift down to (the engine's
-  /// effective, possibly lint-pruned, base); `new_to_old` translates its
-  /// labels back to the original problem's (empty = identity).
+  /// Lifts through the first `levels` levels of `chain`, whose `pi_0` is
+  /// `base` (the engine's effective, possibly lint-pruned, base);
+  /// `new_to_old` translates its labels back to the original problem's
+  /// (empty = identity).
   SynthesizedAlgorithm(const NodeEdgeCheckableLcl& base,
-                       const std::vector<SequenceLevel>& levels,
+                       const IterateChain& chain, std::size_t levels,
                        ZeroRoundAlgorithm witness,
                        std::vector<Label> new_to_old)
       : base_(base),
+        chain_(chain),
         levels_(levels),
         witness_(std::move(witness)),
         new_to_old_(std::move(new_to_old)) {}
 
   int radius(std::size_t advertised_n) const override {
     (void)advertised_n;
-    return static_cast<int>(levels_.size());
+    return static_cast<int>(levels_);
   }
 
   std::vector<Label> outputs(const LocalView& view) const override {
@@ -59,7 +56,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
 
     const int degree = view.degree(u);
     std::vector<Label> result;
-    if (level == levels_.size()) {
+    if (level == levels_) {
       // Top of the sequence: apply the 0-round witness to u's input tuple.
       std::vector<Label> inputs(static_cast<std::size_t>(degree));
       for (int p = 0; p < degree; ++p) {
@@ -69,7 +66,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
     } else {
       // Lemma 3.9 at this level: compute f^(level+1) labels at u and its
       // neighbors, then the two-step choice.
-      const auto& lvl = levels_[level];
+      const auto& lvl = chain_.level(level);
       const auto mine = labels_at(view, level + 1, u, memo);
       // Step 1: per edge, both endpoints pick the same psi-label pair; the
       // smaller-ID endpoint plays the role of "first".
@@ -109,9 +106,9 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
 
   std::vector<Label> choose_node(std::size_t level,
                                  const std::vector<Label>& psi_labels) const {
-    const auto& lvl = levels_[level];
+    const auto& lvl = chain_.level(level);
     const NodeEdgeCheckableLcl& lower =
-        level == 0 ? base_ : levels_[level - 1].next.problem;
+        level == 0 ? base_ : chain_.level(level - 1).next.problem;
     std::vector<std::vector<Label>> options;
     options.reserve(psi_labels.size());
     for (const auto L : psi_labels) {
@@ -136,164 +133,122 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
   }
 
   const NodeEdgeCheckableLcl& base_;
-  const std::vector<SequenceLevel>& levels_;
+  const IterateChain& chain_;
+  std::size_t levels_;
   ZeroRoundAlgorithm witness_;
   std::vector<Label> new_to_old_;
 };
 
+/// Relabels `step` to its label-permutation canonical form, permuting the
+/// meaning table alongside (new_meaning[p[l]] = meaning[l]) so the lift
+/// consumes the same label -> label-set associations.
+void canonicalize(ReStep& step) {
+  const auto form = lint::canonical_form(lint::spec_from_problem(step.problem));
+  bool identity = true;
+  for (std::size_t l = 0; identity && l < form.old_to_new.size(); ++l) {
+    identity = form.old_to_new[l] == l;
+  }
+  if (identity) return;
+  std::vector<LabelSet> meaning(step.meaning.size());
+  for (std::size_t l = 0; l < step.meaning.size(); ++l) {
+    meaning[form.old_to_new[l]] = step.meaning[l];
+  }
+  step.problem = lint::build_spec(form.spec);
+  step.meaning = std::move(meaning);
+}
+
 }  // namespace
 
 SpeedupEngine::SpeedupEngine(NodeEdgeCheckableLcl base)
-    : base_(std::move(base)), effective_base_(base_) {}
+    : base_(std::move(base)) {}
 
 const NodeEdgeCheckableLcl& SpeedupEngine::problem_at(std::size_t i) const {
   if (i == 0) return base_;
-  if (i <= levels_.size()) return levels_[i - 1].next.problem;
+  if (i <= steps_applied()) return chain_->level(i - 1).next.problem;
   throw std::out_of_range("SpeedupEngine::problem_at: step not computed");
+}
+
+const NodeEdgeCheckableLcl& SpeedupEngine::effective_base() const {
+  if (chain_ && chain_->prunes() && chain_->preflight().changed) {
+    return chain_->preflight().problem;
+  }
+  return base_;
 }
 
 SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
   LCL_OBS_SPAN(run_span, "re/run", "re");
   LCL_OBS_COUNTER_ADD("re.runs", 1);
-  Outcome outcome;
-  levels_.clear();
   witness_.reset();
-  witness_step_ = -1;
-  effective_base_ = base_;
-  prune_new_to_old_.clear();
+  chain_.emplace(
+      base_,
+      IterateChain::LevelStep([this, limits = options.limits,
+                               reduce = options.reduce,
+                               canonical = options.canonicalize_iterates](
+                                  const NodeEdgeCheckableLcl& current) {
+        LCL_OBS_SPAN(step_span, "re/step", "re");
+        LCL_OBS_SPAN_ARG(step_span, "index", chain_->size());
+        SequenceLevel level = speedup_level(current, limits, reduce);
+        // Pure renaming: the verdicts and the synthesized algorithm are
+        // unchanged, and iterate specs stop depending on enumeration order.
+        if (canonical) canonicalize(level.next);
+        [[maybe_unused]] const std::size_t labels =
+            level.next.problem.output_alphabet().size();
+        [[maybe_unused]] const std::size_t node_configs =
+            level.next.problem.total_node_configs();
+        LCL_OBS_COUNTER_ADD("re.steps", 1);
+        if (auto* run = obs::RunContext::current(); run != nullptr) {
+          run->bump("engine_steps");
+        }
+        LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", labels);
+        LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step", node_configs);
+        LCL_OBS_GAUGE_SET("re.current_labels", labels);
+        LCL_OBS_SPAN_ARG(step_span, "labels", labels);
+        LCL_OBS_SPAN_ARG(step_span, "node_configs", node_configs);
+        return level;
+      }),
+      options.preflight_lint);
 
-  if (options.preflight_lint) {
-    // Lint pre-flight: L020 short-circuits the run; dead-label pruning
-    // shrinks the alphabet `R`'s power set is built over. Both are sound:
-    // dead labels occur in no correct solution on any instance, so the
-    // pruned problem has the same solvability, round complexity, and
-    // 0-round verdicts as the original (the L030/zero-round pass is skipped
-    // here - the engine runs the exact `A_det` decision itself).
-    lint::LintOptions lint_options;
-    lint_options.zero_round = false;
-    auto preflight = lint::prune_problem(base_, lint_options);
-    outcome.preflight_dead_labels = preflight.report.dead_labels;
+  // Dead labels occur in no correct solution on any instance, so the
+  // pruned base has the same solvability, round complexity and 0-round
+  // verdicts as the original; the walk's 0-round test keeps the `A_det`
+  // witness of the iterate that stops it.
+  const WalkOutcome walked =
+      walk(*chain_, options.max_steps,
+           [this, &options](const NodeEdgeCheckableLcl& problem) {
+             witness_ = find_zero_round_algorithm(problem, options.degrees);
+             return witness_.has_value();
+           });
+  witness_step_ = walked.zero_round_step;
+
+  Outcome outcome;
+  outcome.zero_round_step = walked.zero_round_step;
+  outcome.budget_exhausted = walked.budget_exhausted;
+  outcome.blowup_message = walked.message;
+  outcome.detected_unsolvable = walked.detected_unsolvable;
+  outcome.fixed_point = walked.fixed_point;
+  outcome.preflight_dead_labels = walked.preflight_dead_labels;
+  if (chain_->prunes()) {
     LCL_OBS_COUNTER_ADD("re.preflight_dead_labels",
-                        preflight.report.dead_labels);
-    if (preflight.report.trivially_unsolvable) {
-      outcome.detected_unsolvable = true;
-      outcome.blowup_message =
-          "preflight lint (L020): the pruned constraint set is empty";
+                        walked.preflight_dead_labels);
+    if (chain_->preflight().report.trivially_unsolvable) {
       LCL_OBS_EVENT1("re/preflight_unsolvable", "re", "dead_labels",
-                     preflight.report.dead_labels);
-      return outcome;
+                     walked.preflight_dead_labels);
     }
-    if (preflight.changed) {
-      effective_base_ = std::move(preflight.problem);
-      prune_new_to_old_ = std::move(preflight.report.new_to_old);
-      outcome.preflight_pruned = true;
-    }
+    outcome.preflight_pruned = chain_->preflight().changed;
   }
-
-  if (auto w = find_zero_round_algorithm(effective_base_, options.degrees)) {
-    witness_ = std::move(w);
-    witness_step_ = 0;
-    outcome.zero_round_step = 0;
-    return outcome;
-  }
-
-  for (int step = 0; step < options.max_steps; ++step) {
-    const auto start = std::chrono::steady_clock::now();
-    LCL_OBS_SPAN(step_span, "re/step", "re");
-    LCL_OBS_SPAN_ARG(step_span, "index", step);
+  for (int i = 0; i < walked.steps_applied; ++i) {
+    const SequenceLevel& level = chain_->level(static_cast<std::size_t>(i));
     StepStats stats;
-    stats.index = step;
-    try {
-      const NodeEdgeCheckableLcl& current =
-          levels_.empty() ? effective_base_ : levels_.back().next.problem;
-      ReStep psi = apply_r(current, options.limits);
-      if (options.reduce) psi = reduce_step(std::move(psi));
-      ReStep next = apply_rbar(psi.problem, options.limits);
-      if (options.reduce) next = reduce_step(std::move(next));
-      if (options.canonicalize_iterates) {
-        // Pure relabeling of the iterate: the problem takes its canonical
-        // label order and the meaning table is permuted alongside
-        // (new_meaning[p[l]] = meaning[l]), so the lift consumes the same
-        // label -> label-set associations and the synthesized algorithm is
-        // untouched.
-        const auto form =
-            lint::canonical_form(lint::spec_from_problem(next.problem));
-        bool identity = true;
-        for (std::size_t l = 0; l < form.old_to_new.size(); ++l) {
-          if (form.old_to_new[l] != l) {
-            identity = false;
-            break;
-          }
-        }
-        if (!identity) {
-          std::vector<LabelSet> meaning(next.meaning.size());
-          for (std::size_t l = 0; l < next.meaning.size(); ++l) {
-            meaning[form.old_to_new[l]] = next.meaning[l];
-          }
-          next.problem = lint::build_spec(form.spec);
-          next.meaning = std::move(meaning);
-        }
-      }
-      stats.labels_psi = psi.problem.output_alphabet().size();
-      stats.labels_next = next.problem.output_alphabet().size();
-      stats.node_configs = next.problem.total_node_configs();
-      stats.edge_configs = next.problem.edge_configs().size();
-      levels_.push_back(SequenceLevel{std::move(psi), std::move(next)});
-    } catch (const ReBlowupError& e) {
-      outcome.budget_exhausted = true;
-      outcome.blowup_message = e.what();
-      return outcome;
-    } catch (const std::runtime_error& e) {
-      // reduce() throws when no output label survives trimming: the
-      // problem admits no correct solution on any graph with an edge.
-      outcome.detected_unsolvable = true;
-      outcome.blowup_message = e.what();
-      return outcome;
-    }
-    LCL_OBS_COUNTER_ADD("re.steps", 1);
-    if (auto* run = obs::RunContext::current(); run != nullptr) {
-      run->bump("engine_steps");
-    }
-    LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", stats.labels_next);
-    LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step", stats.node_configs);
-    LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
-    LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
-    LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
-
-    const NodeEdgeCheckableLcl& latest = levels_.back().next.problem;
-    if (options.preflight_lint) {
-      // Lint each produced iterate. With `reduce` on this is a cross-check
-      // (reduction's trim performs the same support fixpoint, so any dead
-      // label here is a bug worth surfacing); with `reduce` off it
-      // quantifies what the faithful sequence drags along.
-      lint::LintOptions lint_options;
-      lint_options.zero_round = false;
-      const auto iterate_report = lint::lint_problem(latest, lint_options);
-      stats.lint_dead_labels = iterate_report.dead_labels;
-      if (iterate_report.dead_labels > 0) {
-        LCL_OBS_EVENT1("re/iterate_dead_labels", "re", "step", step);
-      }
-    }
-    if (auto w = find_zero_round_algorithm(latest, options.degrees)) {
-      witness_ = std::move(w);
-      witness_step_ = static_cast<int>(levels_.size());
-      stats.zero_round_solvable = true;
-      outcome.zero_round_step = witness_step_;
-    }
-    stats.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+    stats.index = i;
+    stats.labels_psi = level.psi.problem.output_alphabet().size();
+    stats.labels_next = level.next.problem.output_alphabet().size();
+    stats.node_configs = level.next.problem.total_node_configs();
+    stats.edge_configs = level.next.problem.edge_configs().size();
+    stats.zero_round_solvable = i + 1 == walked.zero_round_step;
     outcome.steps.push_back(stats);
-    if (outcome.zero_round_step >= 0) return outcome;
-
-    const NodeEdgeCheckableLcl& prior =
-        levels_.size() >= 2 ? levels_[levels_.size() - 2].next.problem
-                            : effective_base_;
-    if (is_fixed_point(latest, prior)) {
-      outcome.fixed_point = true;
-      LCL_OBS_EVENT1("re/fixed_point", "re", "step", step);
-      return outcome;
-    }
+  }
+  if (walked.fixed_point) {
+    LCL_OBS_EVENT1("re/fixed_point", "re", "step", walked.steps_applied - 1);
   }
   return outcome;
 }
@@ -306,17 +261,14 @@ std::unique_ptr<BallAlgorithm> SpeedupEngine::synthesize() const {
         "succeed first");
   }
   // The witness lives at level `witness_step_`; the synthesized algorithm
-  // lifts through exactly the first `witness_step_` levels.
-  if (witness_step_ != static_cast<int>(levels_.size())) {
-    // witness at the base problem: 0 levels to lift through.
-    if (witness_step_ != 0) {
-      throw std::logic_error("SpeedupEngine::synthesize: internal state");
-    }
+  // lifts through exactly the levels below it.
+  std::vector<Label> new_to_old;
+  if (&effective_base() != &base_) {
+    new_to_old = chain_->preflight().report.new_to_old;
   }
-  static const std::vector<SequenceLevel> kNoLevels;
-  const auto& lifting_levels = witness_step_ == 0 ? kNoLevels : levels_;
   return std::make_unique<SynthesizedAlgorithm>(
-      effective_base_, lifting_levels, *witness_, prune_new_to_old_);
+      effective_base(), *chain_, static_cast<std::size_t>(witness_step_),
+      *witness_, std::move(new_to_old));
 }
 
 }  // namespace lcl

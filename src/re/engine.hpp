@@ -7,6 +7,7 @@
 
 #include "core/lcl.hpp"
 #include "local/view.hpp"
+#include "re/chain.hpp"
 #include "re/lift.hpp"
 #include "re/step.hpp"
 #include "re/zero_round.hpp"
@@ -36,9 +37,7 @@ class SpeedupEngine {
     /// verdict (trivially unsolvable) short-circuits the whole run, and
     /// dead-label pruning shrinks the base alphabet - cutting the
     /// `2^k - 1` power-set base that `R` pays - without changing any
-    /// verdict. Each produced iterate is linted too (`StepStats::
-    /// lint_dead_labels`; always 0 while `reduce` is on, since reduction's
-    /// trim performs the same fixpoint).
+    /// verdict.
     bool preflight_lint = true;
     /// Relabel each produced iterate to its label-permutation canonical
     /// form (`lint::canonical_form`) before it enters the sequence. Off by
@@ -58,10 +57,6 @@ class SpeedupEngine {
     std::size_t node_configs = 0;  // of pi_{i+1}
     std::size_t edge_configs = 0;  // of pi_{i+1}
     bool zero_round_solvable = false;  // of pi_{i+1}
-    /// Dead labels the lint pass found on pi_{i+1} (pre-flight builds only;
-    /// 0 whenever `reduce` already trimmed the iterate).
-    std::size_t lint_dead_labels = 0;
-    double seconds = 0.0;
   };
 
   struct Outcome {
@@ -87,9 +82,13 @@ class SpeedupEngine {
   };
 
   explicit SpeedupEngine(NodeEdgeCheckableLcl base);
+  // The sequence refers to `base_`: an engine stays where it was built.
+  SpeedupEngine(const SpeedupEngine&) = delete;
+  SpeedupEngine& operator=(const SpeedupEngine&) = delete;
 
   /// Runs the sequence until 0-round solvability, a fixed point, the step
-  /// budget, or an enumeration blow-up.
+  /// budget, or an enumeration blow-up: one `walk` over an `IterateChain`
+  /// whose steps keep the meaning tables the lift needs.
   Outcome run(const Options& options);
 
   /// Problem `f^i(pi)`; valid for `0 <= i <= steps applied`. Index 0 is the
@@ -98,10 +97,10 @@ class SpeedupEngine {
   const NodeEdgeCheckableLcl& problem_at(std::size_t i) const;
   /// The problem the sequence actually starts from: the lint-pruned base
   /// when the pre-flight removed dead labels, the base problem otherwise.
-  const NodeEdgeCheckableLcl& effective_base() const noexcept {
-    return effective_base_;
+  const NodeEdgeCheckableLcl& effective_base() const;
+  std::size_t steps_applied() const noexcept {
+    return chain_ ? chain_->size() : 0;
   }
-  std::size_t steps_applied() const noexcept { return levels_.size(); }
 
   /// After `run` found `zero_round_step == k`: the synthesized k-round
   /// LOCAL algorithm for the base problem (Theorem 3.10's conclusion). Its
@@ -112,12 +111,10 @@ class SpeedupEngine {
 
  private:
   NodeEdgeCheckableLcl base_;
-  /// The lint-pruned base (== `base_` until a pre-flight prunes it). The
-  /// levels always map effective_base_ -> pi_1 -> ...; synthesized outputs
-  /// are translated back to `base_` labels via `prune_new_to_old_`.
-  NodeEdgeCheckableLcl effective_base_;
-  std::vector<Label> prune_new_to_old_;  // empty = identity
-  std::vector<SequenceLevel> levels_;  // level i maps pi_i -> pi_{i+1}
+  /// The last run's sequence over `base_`: its levels map
+  /// effective_base() -> pi_1 -> ...; synthesized outputs are translated
+  /// back to `base_` labels through the pre-flight's `new_to_old`.
+  std::optional<IterateChain> chain_;
   std::optional<ZeroRoundAlgorithm> witness_;
   int witness_step_ = -1;
 };

@@ -83,7 +83,7 @@ class LabelSet {
 
   /// Raw storage, least-significant word first: bit `b` of word `b / 64` is
   /// set iff label `b` is a member. `word_count() == ceil(universe / 64)`.
-  /// Exposed so `LabelMaskW`, `reduce()`'s dominated-label scan and the
+  /// Exposed so `LabelMask`, `reduce()`'s dominated-label scan and the
   /// batch cache signature can convert / fold without per-label round trips.
   std::size_t word_count() const noexcept { return words_.size(); }
   std::uint64_t word(std::size_t i) const { return words_.at(i); }

@@ -50,6 +50,9 @@ TEST(BatchPool, RunsTasksAndReturnsValues) {
   int expected = 0;
   for (int i = 0; i < 100; ++i) expected += i * i;
   EXPECT_EQ(total, expected);
+  // A future is ready before its worker counts the task; wait_idle()
+  // orders after the count.
+  pool.wait_idle();
   EXPECT_EQ(pool.tasks_completed(), 100u);
 }
 
@@ -137,6 +140,7 @@ TEST(BatchPool, ManyThreadsManyTasksStress) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(kTasks) * (kTasks - 1) / 2);
+  pool.wait_idle();  // the last count can lag the last ready future
   EXPECT_EQ(pool.tasks_completed(), static_cast<std::uint64_t>(kTasks));
 }
 

@@ -533,5 +533,55 @@ TEST(Survey, MatchesTheCommittedGoldenReport) {
 }
 #endif
 
+#ifdef LCL_DELTA2_L3_VERDICTS
+/// The full Delta=2 l=3 family (3,969 members) through a cold raw-key
+/// cache at jobs=1, every verdict column checked against the committed
+/// table the benchmark harness reads. Unlike the goldens, this family has
+/// blow-up rows, so it is the gate on the walk's blow-up path.
+TEST(Survey, MatchesTheCommittedDelta2L3Verdicts) {
+  std::ifstream in(LCL_DELTA2_L3_VERDICTS);
+  ASSERT_TRUE(in) << "missing verdict table " << LCL_DELTA2_L3_VERDICTS;
+  std::map<std::string, std::string> expected;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << line;
+    expected[line.substr(0, tab)] = line.substr(tab + 1);
+  }
+  ASSERT_EQ(expected.size(), 3969u);
+
+  Cache cache;
+  auto options = default_options();
+  options.jobs = 1;
+  options.cache = &cache;
+  batch::ExhaustiveFamilyOptions family_options;
+  family_options.labels = 3;
+  const auto report =
+      batch::run_survey(batch::exhaustive_family(family_options), options);
+  ASSERT_EQ(report.outcomes.size(), expected.size());
+  std::size_t mismatches = 0;
+  std::size_t blowups = 0;
+  for (const auto& o : report.outcomes) {
+    std::ostringstream row;
+    row << o.landscape_class << '\t' << o.cycle_class << '\t' << o.path_class
+        << '\t' << o.canonical_key << '\t' << o.zero_round_step << '\t'
+        << o.steps_applied << '\t' << o.fixed_point << '\t'
+        << o.budget_exhausted << '\t' << o.detected_unsolvable << '\t'
+        << o.preflight_dead_labels << '\t' << o.check << '\t' << o.error;
+    const auto it = expected.find(o.name);
+    ASSERT_NE(it, expected.end()) << o.name;
+    if (row.str() != it->second) {
+      ++mismatches;
+      ADD_FAILURE() << o.name << "\n  got      " << row.str()
+                    << "\n  expected " << it->second;
+    }
+    if (o.budget_exhausted) ++blowups;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(blowups, 50u);
+}
+#endif
+
 }  // namespace
 }  // namespace lcl

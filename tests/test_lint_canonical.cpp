@@ -1,8 +1,7 @@
 // Tests for lint/canonical.hpp - the label-permutation canonicalization
 // tier: canonical forms and their evidence maps, automorphism detection
 // (orders, saturation, generating witnesses), permutation-invariant
-// signatures at small and LabelMaskW-tier alphabet sizes (96 and 512
-// labels), the analyzer's L050/L051/L052 surface, the engine's
+// signatures at small and multi-word alphabet sizes (96 and 512 labels), the analyzer's L050/L051/L052 surface, the engine's
 // `canonicalize_iterates` parity fence, and the lcl_lint CLI's cross-file,
 // SARIF, and --fix semantics.
 
@@ -218,7 +217,7 @@ TEST(Canonical, SaturatedAutomorphismOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide alphabets: the LabelMaskW tier (> 64 labels).
+// Wide alphabets: more labels than one 64-bit word holds.
 
 TEST(CanonicalWide, PermutedPairsAgreeAt96And512Labels) {
   for (const std::size_t k : {std::size_t{96}, std::size_t{512}}) {

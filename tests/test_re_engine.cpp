@@ -281,9 +281,15 @@ TEST(IterateChain, CollapseProbeAgreesWithTheEngine) {
       options.degrees = degrees;
       const auto outcome = engine.run(options);
       IterateChain chain(problem);
-      EXPECT_EQ(zero_round_collapse_step(chain, degrees, 2),
-                outcome.zero_round_step)
+      const auto walked =
+          walk(chain, 2, [&degrees](const NodeEdgeCheckableLcl& p) {
+            return zero_round_solvable(p, degrees);
+          });
+      EXPECT_EQ(walked.zero_round_step, outcome.zero_round_step)
           << problem.name() << " degrees " << degrees.size();
+      EXPECT_EQ(walked.fixed_point, outcome.fixed_point) << problem.name();
+      EXPECT_EQ(walked.budget_exhausted, outcome.budget_exhausted)
+          << problem.name();
     }
   }
 }
@@ -307,8 +313,12 @@ TEST(IterateChain, KeepsIteratesAndFailuresAcrossCallers) {
   EXPECT_THROW(chain.at(3), ReBlowupError);
   EXPECT_THROW(chain.at(5), ReBlowupError);
   EXPECT_EQ(calls, 3);
-  // A blow-up ends the probe without a collapse.
-  EXPECT_EQ(zero_round_collapse_step(chain, {2}, 3), -1);
+  // The walk reads the kept iterates: f(pi) = pi is a fixed point.
+  const auto walked = walk(chain, 3, [](const NodeEdgeCheckableLcl& p) {
+    return zero_round_solvable(p, {2});
+  });
+  EXPECT_EQ(walked.zero_round_step, -1);
+  EXPECT_TRUE(walked.fixed_point);
   EXPECT_EQ(calls, 3);
 }
 
@@ -320,8 +330,43 @@ TEST(IterateChain, ProbeStopsAtAFixedPoint) {
                        ++calls;
                        return current;  // f(pi) = pi
                      });
-  EXPECT_EQ(zero_round_collapse_step(chain, {2}, 5), -1);
+  const auto walked = walk(chain, 5, [](const NodeEdgeCheckableLcl& p) {
+    return zero_round_solvable(p, {2});
+  });
+  EXPECT_EQ(walked.zero_round_step, -1);
+  EXPECT_TRUE(walked.fixed_point);
+  EXPECT_EQ(walked.steps_applied, 1);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(IterateChain, WalkSortsStepFailures) {
+  const auto coloring = problems::coloring(3, 2);
+  const auto never = [](const NodeEdgeCheckableLcl&) { return false; };
+  const auto failing = [&](auto error) {
+    IterateChain chain(coloring,
+                       [error](const NodeEdgeCheckableLcl&)
+                           -> NodeEdgeCheckableLcl { throw error; });
+    return walk(chain, 3, never);
+  };
+  const auto blowup = failing(ReBlowupError("too many labels"));
+  EXPECT_TRUE(blowup.budget_exhausted);
+  EXPECT_FALSE(blowup.detected_unsolvable);
+  EXPECT_EQ(blowup.message, "too many labels");
+  EXPECT_EQ(blowup.steps_applied, 0);
+  const auto unsolvable = failing(std::runtime_error("no label survives"));
+  EXPECT_TRUE(unsolvable.detected_unsolvable);
+  EXPECT_FALSE(unsolvable.budget_exhausted);
+  EXPECT_EQ(unsolvable.message, "no label survives");
+  // Anything else is a bug, not a verdict.
+  EXPECT_THROW(failing(std::logic_error("bug")), std::logic_error);
+  // A zero budget stops after the step-0 test.
+  IterateChain idle(coloring);
+  const auto none = walk(idle, 0, never);
+  EXPECT_EQ(none.zero_round_step, -1);
+  EXPECT_EQ(none.steps_applied, 0);
+  EXPECT_FALSE(none.fixed_point || none.budget_exhausted ||
+               none.detected_unsolvable);
+  EXPECT_EQ(idle.size(), 0u);
 }
 
 TEST(IterateChain, TriviallyUnsolvableChainsHaveNoSequence) {
@@ -335,10 +380,24 @@ TEST(IterateChain, TriviallyUnsolvableChainsHaveNoSequence) {
   IterateChain chain(problem);
   EXPECT_TRUE(chain.preflight().report.trivially_unsolvable);
   EXPECT_THROW(chain.at(0), std::logic_error);
-  // Without the pre-flight the chain starts from the problem as given.
+  const auto never = [](const NodeEdgeCheckableLcl&) { return false; };
+  const auto walked = walk(chain, 3, never);
+  EXPECT_TRUE(walked.detected_unsolvable);
+  EXPECT_NE(walked.message.find("L020"), std::string::npos);
+  EXPECT_EQ(walked.steps_applied, 0);
+  // Without the pre-flight the chain starts from the problem as given, and
+  // the walk never consults it.
   IterateChain raw(problem, [](const NodeEdgeCheckableLcl& p) { return p; },
                    /*prune=*/false);
   EXPECT_EQ(&raw.at(0), &problem);
+  const auto raw_walk = walk(raw, 3, never);
+  EXPECT_FALSE(raw_walk.detected_unsolvable);
+  EXPECT_TRUE(raw_walk.fixed_point);
+  // Pruning that removes nothing starts from the problem as given too.
+  const auto coloring = problems::coloring(3, 2);
+  IterateChain live(coloring);
+  EXPECT_FALSE(live.preflight().changed);
+  EXPECT_EQ(&live.at(0), &coloring);
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/label_set.hpp"
@@ -136,6 +140,99 @@ TEST(LabelMask, DefaultIsEmptyUniverse) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.hash(), LabelSet().hash());
   EXPECT_EQ(m, LabelMask(0, 0));
+}
+
+// The LabelMaskWTest cases keep the names they had when the mask came in
+// several word widths; they now pin the one-word mask.
+
+TEST(LabelMaskWTest, SingleWordTierStaysBitCompatible) {
+  // The raw-word accessors the kernels build on.
+  const LabelMask m(10, 0b1011);
+  EXPECT_EQ(m.word(), 0b1011u);
+  EXPECT_EQ(LabelMask::universe_word(10), (std::uint64_t{1} << 10) - 1);
+  EXPECT_EQ(LabelMask::universe_word(64), ~std::uint64_t{0});
+  EXPECT_EQ(LabelMask::from_label_set(m.to_label_set()).word(), m.word());
+}
+
+TEST(LabelMaskWTest, WordCapCoversPartialWords) {
+  // universe_word caps the word at exactly the universe's low bits, up to
+  // and including the last partial width before the full word.
+  for (const std::size_t universe : {1u, 10u, 33u, 63u}) {
+    SCOPED_TRACE("universe=" + std::to_string(universe));
+    const std::uint64_t cap = LabelMask::universe_word(universe);
+    EXPECT_EQ(std::popcount(cap), static_cast<int>(universe));
+    EXPECT_EQ(cap >> universe, 0u);
+    const LabelMask full = LabelMask::full(universe);
+    EXPECT_EQ(full.size(), universe);
+    EXPECT_TRUE(full.contains(static_cast<std::uint32_t>(universe - 1)));
+    EXPECT_EQ(full.complement().size(), 0u);
+    EXPECT_EQ(LabelMask(universe).complement(), full);
+  }
+}
+
+TEST(LabelMaskWTest, ErrorBehaviourMirrorsLabelSet) {
+  // Every error LabelMask raises, LabelSet raises with the same type.
+  EXPECT_THROW(LabelMask(65), std::invalid_argument);
+  EXPECT_NO_THROW(LabelMask(64));
+  LabelMask m(40);
+  LabelSet s(40);
+  EXPECT_THROW(m.contains(40), std::out_of_range);
+  EXPECT_THROW(s.contains(40), std::out_of_range);
+  EXPECT_THROW(m.insert(60), std::out_of_range);
+  EXPECT_THROW(s.insert(60), std::out_of_range);
+  EXPECT_THROW(m.erase(1000), std::out_of_range);
+  EXPECT_THROW(s.erase(1000), std::out_of_range);
+  const LabelMask other(39);
+  const LabelSet other_set(39);
+  EXPECT_THROW((void)m.is_subset_of(other), std::invalid_argument);
+  EXPECT_THROW((void)s.is_subset_of(other_set), std::invalid_argument);
+  EXPECT_THROW((void)m.union_with(other), std::invalid_argument);
+  EXPECT_THROW((void)s.union_with(other_set), std::invalid_argument);
+  EXPECT_THROW((void)m.minus(other), std::invalid_argument);
+  EXPECT_THROW((void)s.minus(other_set), std::invalid_argument);
+  // The bits constructor range-checks against the universe cap.
+  EXPECT_THROW(LabelMask(3, 0b1000), std::out_of_range);
+  EXPECT_NO_THROW(LabelMask(3, 0b101));
+}
+
+/// Brute-force reference: all non-empty subsets of the given support,
+/// sorted descending.
+std::vector<std::uint64_t> all_nonempty_submasks(
+    const std::vector<std::uint32_t>& support) {
+  std::vector<std::uint64_t> out;
+  const std::size_t count = std::size_t{1} << support.size();
+  for (std::size_t pick = 1; pick < count; ++pick) {
+    std::uint64_t sub = 0;
+    for (std::size_t i = 0; i < support.size(); ++i) {
+      if ((pick >> i) & 1) sub |= std::uint64_t{1} << support[i];
+    }
+    out.push_back(sub);
+  }
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return out;
+}
+
+void expect_subset_walk_exact(const std::vector<std::uint32_t>& support) {
+  std::uint64_t mask = 0;
+  for (const auto l : support) mask |= std::uint64_t{1} << l;
+  std::vector<std::uint64_t> visited;
+  for_each_nonempty_submask(mask,
+                            [&](std::uint64_t sub) { visited.push_back(sub); });
+  // Exactly the 2^k - 1 non-empty subsets, in strictly decreasing order.
+  EXPECT_EQ(visited, all_nonempty_submasks(support));
+}
+
+TEST(LabelMaskWTest, SubmaskWalkCompleteAndDecreasingAcrossSeams) {
+  // Supports straddling the word's half and top bit: the walk's borrow
+  // must ripple across the zero runs between set bits without overflow.
+  expect_subset_walk_exact({0, 31, 32, 63});
+  expect_subset_walk_exact({1, 2, 62, 63});
+  expect_subset_walk_exact({5, 20, 40, 61, 62, 63});
+  // Degenerate cases: empty mask visits nothing; singleton visits itself.
+  std::size_t visits = 0;
+  for_each_nonempty_submask(0, [&](std::uint64_t) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+  expect_subset_walk_exact({63});
 }
 
 }  // namespace
